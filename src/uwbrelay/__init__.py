@@ -37,8 +37,7 @@ from .optimizer import (
 )
 from .experiments import (
     Geometry, ExperimentConfig, SweepResult, powers_from_config, link_rng,
-    draw_link, draw_links, build_instance, run_trial, sweep_distance,
-    sweep_rho,
+    draw_links, build_instance, run_trial, sweep_distance, sweep_rho,
 )
 from .configfile import (
     AppConfig, ConfigError, OracleSettings, parse_config_text, load_config,
@@ -66,7 +65,7 @@ __all__ = [
     "oracle_suite",
     # experiments
     "Geometry", "ExperimentConfig", "SweepResult", "powers_from_config",
-    "link_rng", "draw_link", "draw_links", "build_instance", "run_trial",
+    "link_rng", "draw_links", "build_instance", "run_trial",
     "sweep_distance", "sweep_rho",
     # configfile
     "AppConfig", "ConfigError", "OracleSettings", "parse_config_text",

@@ -21,9 +21,8 @@ import sys
 from . import __version__
 from .configfile import (ANNOTATED_DEFAULTS, AppConfig, ConfigError,
                          config_signature, default_config, load_config)
-from .experiments import (Geometry, powers_from_config, draw_link_detail,
-                          link_rng, run_trial, sweep_distance, sweep_rho,
-                          LINK_SOURCE_DEST, LINK_SOURCE_RELAY, LINK_RELAY_DEST)
+from .experiments import (Geometry, draw_links, run_trial, sweep_distance,
+                          sweep_rho)
 from .optimizer import oracle_suite
 from .svchannel import write_response_csv, write_taps_csv
 from .svgplot import sweep_chart
@@ -58,6 +57,8 @@ def _load(args: argparse.Namespace) -> AppConfig:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         config.experiment.master_seed = args.seed
         config.experiment.__post_init__()
+    if getattr(args, "trial", 0) < 0:
+        raise ConfigError(f"--trial must be >= 0, got {args.trial}")
     return config
 
 
@@ -85,16 +86,10 @@ def _progress(args: argparse.Namespace, label: str):
 def cmd_channel(args: argparse.Namespace) -> int:
     config = _load(args)
     exp = config.experiment
-    geometry = _first_geometry(config)
     seed = exp.master_seed
-    taps, responses = {}, {}
-    for name, distance, link in (
-        ("sd", geometry.d1, LINK_SOURCE_DEST),
-        ("sr", geometry.d2, LINK_SOURCE_RELAY),
-        ("rd", geometry.relay_dest_distance, LINK_RELAY_DEST),
-    ):
-        taps[name], responses[name] = draw_link_detail(
-            exp, distance, link_rng(seed, args.trial, link))
+    links = draw_links(exp, _first_geometry(config), args.trial)
+    taps = {name: link[0] for name, link in links.items()}
+    responses = {name: link[1] for name, link in links.items()}
     taps_path = os.path.join(args.output_dir, "channel_taps.csv")
     resp_path = os.path.join(args.output_dir, "channel_response.csv")
     _atomic_write(taps_path, write_taps_csv(None, taps, seed))

@@ -16,7 +16,7 @@ Rates are bits per complex sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,8 +98,9 @@ class ExperimentConfig:
         if not self.rho_values:
             raise ValueError("rho_values must not be empty")
         for rho in self.rho_values:
-            if not (0.0 <= rho < 1.0):
-                raise ValueError(f"rho values must lie in [0, 1), got {rho!r}")
+            if not (0.0 <= rho < rates.NOISE_CORR_LIMIT):
+                raise ValueError(f"rho values must lie in "
+                                 f"[0, {rates.NOISE_CORR_LIMIT!r}), got {rho!r}")
         self.d2_grid = tuple(float(d) for d in self.d2_grid)
         if not self.d2_grid:
             raise ValueError("d2_grid must not be empty")
@@ -148,24 +149,16 @@ def draw_link_detail(config: ExperimentConfig, distance: float,
     return taps, dft_response(taps, config.block_size)
 
 
-def draw_link(config: ExperimentConfig, distance: float,
-              rng: np.random.Generator):
-    """Frequency response of one freshly sampled link."""
-    return draw_link_detail(config, distance, rng)[1]
-
-
 def draw_links(config: ExperimentConfig, geometry: Geometry, trial_index: int):
-    """All three links of a trial, keyed-seeded so changing one link's
-    stream leaves the others bit-identical."""
+    """All three links of a trial as {name: (taps, response)}, keyed-seeded
+    so changing one link's stream leaves the others bit-identical."""
     seed = config.master_seed
-    return {
-        "sd": draw_link(config, geometry.d1,
-                        link_rng(seed, trial_index, LINK_SOURCE_DEST)),
-        "sr": draw_link(config, geometry.d2,
-                        link_rng(seed, trial_index, LINK_SOURCE_RELAY)),
-        "rd": draw_link(config, geometry.relay_dest_distance,
-                        link_rng(seed, trial_index, LINK_RELAY_DEST)),
-    }
+    return {name: draw_link_detail(config, distance,
+                                   link_rng(seed, trial_index, link))
+            for name, distance, link in (
+                ("sd", geometry.d1, LINK_SOURCE_DEST),
+                ("sr", geometry.d2, LINK_SOURCE_RELAY),
+                ("rd", geometry.relay_dest_distance, LINK_RELAY_DEST))}
 
 
 def build_instance(config: ExperimentConfig, geometry: Geometry, rho: float,
@@ -174,8 +167,8 @@ def build_instance(config: ExperimentConfig, geometry: Geometry, rho: float,
     links = draw_links(config, geometry, trial_index)
     _, n_dest, n_relay = powers_from_config(config)
     return RelayChannelInstance(
-        g_sd=links["sd"].gains, g_sr=links["sr"].gains, g_rd=links["rd"].gains,
-        n_dest=n_dest, n_relay=n_relay,
+        g_sd=links["sd"][1].gains, g_sr=links["sr"][1].gains,
+        g_rd=links["rd"][1].gains, n_dest=n_dest, n_relay=n_relay,
         noise_corr=np.full(config.block_size, complex(rho)))
 
 
@@ -195,27 +188,38 @@ def _cutset_with_product_candidate(instance, powers, settings, pdf_result):
     return cut.rate, cut, False
 
 
-def run_trial(config: ExperimentConfig, geometry: Geometry, rho: float,
-              trial_index: int) -> RateReport:
-    """Evaluate every bound on one seeded channel draw.
+def _solve_trial(config: ExperimentConfig, geometry: Geometry,
+                 trial_index: int, rho_values):
+    """The work every trial shares: the correlation-independent bounds
+    once, the cut-set bound once per correlation value.  The direct
+    baseline spends the whole power budget at the source (twice the
+    per-node power), since without a relay only one node transmits.
 
-    The direct-transmission baseline spends the whole power budget at the
-    source (twice the per-node power), since without a relay only one
-    node transmits.
-    """
-    instance = build_instance(config, geometry, rho, trial_index)
+    Returns (instance, powers, pdf_res, df_res, cuts, direct_rate); the
+    instance carries rho_values[0] and cuts holds one
+    _cutset_with_product_candidate triple per correlation value."""
+    instance = build_instance(config, geometry, rho_values[0], trial_index)
     powers, n_dest, _ = powers_from_config(config)
     settings = config.optimizer
-
     pdf_res = optimize_pdf(instance, powers, settings)
     df_res = optimize_degraded(instance, powers, settings)
-    cut_value, cut_res, product_used = _cutset_with_product_candidate(
-        instance, powers, settings, pdf_res)
+    cuts = [_cutset_with_product_candidate(
+        replace(instance, noise_corr=np.full(config.block_size, complex(rho))),
+        powers, settings, pdf_res) for rho in rho_values]
+    direct_value = rates.direct_rate(instance.g_sd, 2.0 * powers.p_src, n_dest)
+    return instance, powers, pdf_res, df_res, cuts, direct_value
+
+
+def run_trial(config: ExperimentConfig, geometry: Geometry, rho: float,
+              trial_index: int) -> RateReport:
+    """Evaluate every bound on one seeded channel draw."""
+    instance, powers, pdf_res, df_res, cuts, direct_value = _solve_trial(
+        config, geometry, trial_index, [rho])
+    cut_value, cut_res, product_used = cuts[0]
 
     degraded_value = rates.degraded_capacity_rate(instance, powers,
                                                   df_res.split.relay_corr)
     revdeg_value = rates.reversely_degraded_capacity(instance, powers.p_src)
-    direct_value = rates.direct_rate(instance.g_sd, 2.0 * powers.p_src, n_dest)
 
     mi = rates.mutual_information_terms(
         instance.g_sd, instance.g_sr, instance.g_rd, powers.p_src, powers.p_rel,
@@ -303,46 +307,23 @@ def _aggregate(samples: np.ndarray):
     return mean, stderr
 
 
-def _trial_bounds(config: ExperimentConfig, geometry: Geometry, trial_index: int,
-                  rho_list) -> dict:
-    """Shared per-trial work for sweeps: the correlation-independent
-    bounds once, the cut-set bound per correlation value."""
-    powers, n_dest, _ = powers_from_config(config)
-    settings = config.optimizer
-    instance0 = build_instance(config, geometry, rho_list[0], trial_index)
-    pdf_res = optimize_pdf(instance0, powers, settings)
-    df_res = optimize_degraded(instance0, powers, settings)
-    out = {
-        "pdf": pdf_res.rate,
-        "df": df_res.rate,
-        "direct": rates.direct_rate(instance0.g_sd, 2.0 * powers.p_src, n_dest),
-    }
-    for rho in rho_list:
-        instance = instance0 if rho == rho_list[0] else RelayChannelInstance(
-            g_sd=instance0.g_sd, g_sr=instance0.g_sr, g_rd=instance0.g_rd,
-            n_dest=instance0.n_dest, n_relay=instance0.n_relay,
-            noise_corr=np.full(config.block_size, complex(rho)))
-        cut_value, _, _ = _cutset_with_product_candidate(
-            instance, powers, settings, pdf_res)
-        out[("cutset", rho)] = cut_value
-    return out
-
-
-def sweep_distance(config: ExperimentConfig, progress=None,
-                   keep_samples: bool = False) -> SweepResult:
-    """Move the relay along the source-destination segment and average
-    each bound over the trials.  The upper bound uses uncorrelated noises
-    here; correlation effects are sweep_rho's job."""
-    names = ["cutset", "pdf", "df", "direct"]
+def _sweep(config: ExperimentConfig, rho_values, cut_names, progress,
+           keep_samples: bool) -> SweepResult:
+    """Distance sweep with one cut-set series per correlation value (named
+    by cut_names) plus the correlation-independent pdf, df and direct
+    series."""
+    names = list(cut_names) + ["pdf", "df", "direct"]
     samples = {n: np.empty((len(config.d2_grid), config.trials)) for n in names}
     for i, d2 in enumerate(config.d2_grid):
         geometry = Geometry(config.d1, d2)
         for trial in range(config.trials):
-            vals = _trial_bounds(config, geometry, trial, [0.0])
-            samples["cutset"][i, trial] = vals[("cutset", 0.0)]
-            samples["pdf"][i, trial] = vals["pdf"]
-            samples["df"][i, trial] = vals["df"]
-            samples["direct"][i, trial] = vals["direct"]
+            _, _, pdf_res, df_res, cuts, direct_value = _solve_trial(
+                config, geometry, trial, rho_values)
+            for name, (cut_value, _, _) in zip(cut_names, cuts):
+                samples[name][i, trial] = cut_value
+            samples["pdf"][i, trial] = pdf_res.rate
+            samples["df"][i, trial] = df_res.rate
+            samples["direct"][i, trial] = direct_value
         if progress is not None:
             progress(i + 1, len(config.d2_grid))
     means, stderrs = {}, {}
@@ -351,6 +332,14 @@ def sweep_distance(config: ExperimentConfig, progress=None,
     return SweepResult("source_relay_distance_m", np.asarray(config.d2_grid),
                        means, stderrs, config.trials,
                        samples=samples if keep_samples else None)
+
+
+def sweep_distance(config: ExperimentConfig, progress=None,
+                   keep_samples: bool = False) -> SweepResult:
+    """Move the relay along the source-destination segment and average
+    each bound over the trials.  The upper bound uses uncorrelated noises
+    here; correlation effects are sweep_rho's job."""
+    return _sweep(config, [0.0], ["cutset"], progress, keep_samples)
 
 
 def sweep_rho(config: ExperimentConfig, progress=None,
@@ -359,22 +348,5 @@ def sweep_rho(config: ExperimentConfig, progress=None,
     The achievable curves do not depend on the correlation and are
     computed once."""
     rho_list = list(config.rho_values)
-    names = [f"cutset[rho={rho:g}]" for rho in rho_list] + ["pdf", "df", "direct"]
-    samples = {n: np.empty((len(config.d2_grid), config.trials)) for n in names}
-    for i, d2 in enumerate(config.d2_grid):
-        geometry = Geometry(config.d1, d2)
-        for trial in range(config.trials):
-            vals = _trial_bounds(config, geometry, trial, rho_list)
-            for rho in rho_list:
-                samples[f"cutset[rho={rho:g}]"][i, trial] = vals[("cutset", rho)]
-            samples["pdf"][i, trial] = vals["pdf"]
-            samples["df"][i, trial] = vals["df"]
-            samples["direct"][i, trial] = vals["direct"]
-        if progress is not None:
-            progress(i + 1, len(config.d2_grid))
-    means, stderrs = {}, {}
-    for n in names:
-        means[n], stderrs[n] = _aggregate(samples[n])
-    return SweepResult("source_relay_distance_m", np.asarray(config.d2_grid),
-                       means, stderrs, config.trials,
-                       samples=samples if keep_samples else None)
+    return _sweep(config, rho_list, [f"cutset[rho={rho:g}]" for rho in rho_list],
+                  progress, keep_samples)

@@ -101,11 +101,20 @@ def aligned_split(instance: RelayChannelInstance, relay_mag, aux_mag) -> SplitPa
 
 class _TermsBase:
     """Per-tone evaluation of the two competing terms (bits per tone) at
-    arbitrary split points, vectorized and memory-chunked."""
+    arbitrary split points, vectorized and memory-chunked.  The first
+    (multiple-access) term is shared; subclasses supply its coherent
+    fraction and the second term."""
 
     _BUDGET = 4_000_000  # max tones*points evaluated in one shot
 
-    block_size: int
+    def __init__(self, instance: RelayChannelInstance, powers: PowerBudget):
+        self.block_size = instance.block_size
+        sd_pow = np.abs(instance.g_sd) ** 2 * powers.p_src
+        rd_pow = np.abs(instance.g_rd) ** 2 * powers.p_rel
+        self.mac_base = (sd_pow + rd_pow) / instance.n_dest
+        self.mac_cross = (2.0 * math.sqrt(powers.p_src * powers.p_rel)
+                          * np.abs(instance.g_sd) * np.abs(instance.g_rd)
+                          / instance.n_dest)
 
     def at(self, points: np.ndarray):
         """points: (1, M, d) shared across tones or (K, M, d) per tone.
@@ -122,55 +131,47 @@ class _TermsBase:
         return self._eval(points, slice(None))
 
     def _eval(self, points, tone_slice):
+        base = self.mac_base[tone_slice][:, None]
+        cross = self.mac_cross[tone_slice][:, None]
+        first = np.log1p(base + cross * np.sqrt(self._coherent(points))) / LN2
+        return first, self._second(points, tone_slice)
+
+    def _coherent(self, points):
+        raise NotImplementedError
+
+    def _second(self, points, tone_slice):
         raise NotImplementedError
 
 
 class _PdfTerms(_TermsBase):
     """Terms of the partial decode-and-forward problem over (a, b)."""
 
-    ndim = 2
-
     def __init__(self, instance: RelayChannelInstance, powers: PowerBudget):
-        self.block_size = instance.block_size
-        sd_pow = np.abs(instance.g_sd) ** 2 * powers.p_src
-        rd_pow = np.abs(instance.g_rd) ** 2 * powers.p_rel
-        self.mac_base = (sd_pow + rd_pow) / instance.n_dest
-        self.mac_cross = (2.0 * math.sqrt(powers.p_src * powers.p_rel)
-                          * np.abs(instance.g_sd) * np.abs(instance.g_rd)
-                          / instance.n_dest)
+        super().__init__(instance, powers)
         self.sr_gain = np.abs(instance.g_sr) ** 2 * powers.p_src / instance.n_relay
-        self.sd_gain = sd_pow / instance.n_dest
+        self.sd_gain = np.abs(instance.g_sd) ** 2 * powers.p_src / instance.n_dest
 
-    def _eval(self, points, tone_slice):
+    def _coherent(self, points):
+        return points[..., 0] * points[..., 1]
+
+    def _second(self, points, tone_slice):
         a = points[..., 0]
         b = points[..., 1]
-        base = self.mac_base[tone_slice][:, None]
-        cross = self.mac_cross[tone_slice][:, None]
         sr = self.sr_gain[tone_slice][:, None]
         sd = self.sd_gain[tone_slice][:, None]
-        first = np.log1p(base + cross * np.sqrt(a * b)) / LN2
         relay_snr = sr * (1.0 - a) * b / (sr * (1.0 - b) + 1.0)
-        second = (np.log1p(relay_snr) + np.log1p(sd * (1.0 - b))) / LN2
-        return first, second
+        return (np.log1p(relay_snr) + np.log1p(sd * (1.0 - b))) / LN2
 
 
 class _CutsetTerms(_TermsBase):
     """Terms of the cut-set problem over the product t = a * b."""
 
-    ndim = 1
-
     def __init__(self, instance: RelayChannelInstance, powers: PowerBudget):
-        self.block_size = instance.block_size
         rho_mag = np.abs(instance.noise_corr)
         if np.any(rho_mag >= NOISE_CORR_LIMIT):
             raise InvalidParameterError(
                 "cut-set optimization needs |noise_corr| < 1 on every tone")
-        sd_pow = np.abs(instance.g_sd) ** 2 * powers.p_src
-        rd_pow = np.abs(instance.g_rd) ** 2 * powers.p_rel
-        self.mac_base = (sd_pow + rd_pow) / instance.n_dest
-        self.mac_cross = (2.0 * math.sqrt(powers.p_src * powers.p_rel)
-                          * np.abs(instance.g_sd) * np.abs(instance.g_rd)
-                          / instance.n_dest)
+        super().__init__(instance, powers)
         u = instance.g_sd / math.sqrt(instance.n_dest)
         v = instance.g_sr / math.sqrt(instance.n_relay)
         one_minus_sq = 1.0 - rho_mag ** 2
@@ -178,14 +179,12 @@ class _CutsetTerms(_TermsBase):
                 + one_minus_sq * np.abs(v) ** 2)
         self.bc_gain = powers.p_src * quad / one_minus_sq
 
-    def _eval(self, points, tone_slice):
-        t = points[..., 0]
-        base = self.mac_base[tone_slice][:, None]
-        cross = self.mac_cross[tone_slice][:, None]
+    def _coherent(self, points):
+        return points[..., 0]
+
+    def _second(self, points, tone_slice):
         bc = self.bc_gain[tone_slice][:, None]
-        first = np.log1p(base + cross * np.sqrt(t)) / LN2
-        second = np.log1p(bc * (1.0 - t)) / LN2
-        return first, second
+        return np.log1p(bc * (1.0 - points[..., 0])) / LN2
 
 
 @dataclass
@@ -218,6 +217,14 @@ def _refine_offsets(axes, spacing_scale: float) -> np.ndarray:
     return _grid_points(offset_axes)
 
 
+def _score(lam, first, second):
+    """Weighted scalarization at weight lam, or the pointwise minimum of
+    the two terms when lam is None."""
+    if lam is None:
+        return np.minimum(first, second)
+    return lam * first + (1.0 - lam) * second
+
+
 class _Engine:
     """Shared max-min machinery (see module docstring)."""
 
@@ -227,48 +234,35 @@ class _Engine:
         self.settings = settings
         self.grid = _grid_points(self.axes)
         self.coarse_first, self.coarse_second = terms.at(self.grid[None])
+        self.offsets = []
+        scale = 1.0
+        for _ in range(settings.refine_steps):
+            scale /= 10.0
+            self.offsets.append(_refine_offsets(self.axes, scale))
         self.trace = []
         self.solves = 0
 
-    def _solve(self, lam: float) -> _Candidate:
+    def _solve(self, lam: float | None) -> _Candidate:
+        """Per-tone maximizer of _score on the grid, then refined locally.
+        lam=None maximizes the pointwise minimum on every tone separately:
+        for a single tone that is the max-min problem itself, so the
+        weighted scalarization cannot lose to its own duality gap there;
+        for longer blocks it is one more profile worth trying.  Only
+        weighted solves enter the lambda trace."""
         self.solves += 1
-        weighted = lam * self.coarse_first + (1.0 - lam) * self.coarse_second
-        idx = np.argmax(weighted, axis=1)  # first max = smallest grid point
+        idx = np.argmax(_score(lam, self.coarse_first, self.coarse_second),
+                        axis=1)  # first max = smallest grid point
         pts = self.grid[idx]
-        scale = 1.0
         k = self.terms.block_size
-        for _ in range(self.settings.refine_steps):
-            scale /= 10.0
-            offsets = _refine_offsets(self.axes, scale)
+        for offsets in self.offsets:
             cand = pts[:, None, :] + offsets[None]
             np.clip(cand, 0.0, 1.0, out=cand)
-            c1, c2 = self.terms.at(cand)
-            local = lam * c1 + (1.0 - lam) * c2
-            j = np.argmax(local, axis=1)
+            j = np.argmax(_score(lam, *self.terms.at(cand)), axis=1)
             pts = cand[np.arange(k), j]
         cand = self._evaluate(pts)
-        self.trace.append((lam, cand.first, cand.second))
+        if lam is not None:
+            self.trace.append((lam, cand.first, cand.second))
         return cand
-
-    def _solve_greedy(self) -> _Candidate:
-        """Maximize the pointwise minimum on every tone separately.  For a
-        single tone this is the max-min problem itself, so the weighted
-        scalarization cannot lose to its own duality gap there; for longer
-        blocks it is one more profile worth trying."""
-        self.solves += 1
-        idx = np.argmax(np.minimum(self.coarse_first, self.coarse_second), axis=1)
-        pts = self.grid[idx]
-        scale = 1.0
-        k = self.terms.block_size
-        for _ in range(self.settings.refine_steps):
-            scale /= 10.0
-            offsets = _refine_offsets(self.axes, scale)
-            cand = pts[:, None, :] + offsets[None]
-            np.clip(cand, 0.0, 1.0, out=cand)
-            c1, c2 = self.terms.at(cand)
-            j = np.argmax(np.minimum(c1, c2), axis=1)
-            pts = cand[np.arange(k), j]
-        return self._evaluate(pts)
 
     def _evaluate(self, pts: np.ndarray) -> _Candidate:
         c1, c2 = self.terms.at(pts[:, None, :])
@@ -283,7 +277,7 @@ class _Engine:
         d = self.grid.shape[1]
         candidates = [self._evaluate(np.tile(np.asarray(p, dtype=float), (k, 1)))
                       for p in corner_points]
-        candidates.append(self._solve_greedy())
+        candidates.append(self._solve(None))
         candidates.extend(extra_candidates)
 
         low_sol = self._solve(0.0)

@@ -273,18 +273,13 @@ def reversely_degraded_noise_correlation(g_sd, g_sr, n_dest, n_relay):
 
 @dataclass
 class PowerBudget:
-    """Average transmit powers in watts.  p_aux is the nominal power of
-    the auxiliary stream; it cancels out of every rate and defaults to
-    p_src."""
+    """Average transmit powers in watts."""
 
     p_src: float
     p_rel: float
-    p_aux: float | None = None
 
     def __post_init__(self) -> None:
-        if self.p_aux is None:
-            self.p_aux = self.p_src
-        for name in ("p_src", "p_rel", "p_aux"):
+        for name in ("p_src", "p_rel"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"PowerBudget.{name} must be > 0, got {value!r}")

@@ -1,5 +1,7 @@
 """Command line subcommands run in-process against small configurations."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -175,12 +177,28 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     worse.write_text("experiment.trials = nope\n")
     assert _run(["bounds", "--config", str(worse),
                  "--output-dir", str(tmp_path)]) == 2
+    # a correlation the cut-set step would reject is caught at load time
+    limit = tmp_path / "limit.cfg"
+    limit.write_text("experiment.rho_values = 0.9999999995\n")
+    capsys.readouterr()
+    assert _run(["bounds", "--config", str(limit),
+                 "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "rho" in err
 
 
 def test_negative_seed_override_exits_2(cfg_path, tmp_path, capsys):
     assert _run(["bounds", "--config", cfg_path, "--output-dir", str(tmp_path),
                  "--seed", "-1"]) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_negative_trial_exits_2(cfg_path, tmp_path, capsys):
+    for command in ("bounds", "channel"):
+        assert _run([command, "--config", cfg_path, "--output-dir", str(tmp_path),
+                     "--trial", "-1"]) == 2
+        assert "--trial" in capsys.readouterr().err
 
 
 def test_seed_override_changes_outputs(cfg_path, tmp_path, capsys):
@@ -208,3 +226,38 @@ def test_version_flag(capsys):
         _run(["--version"])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.startswith("uwbrelay ")
+
+
+# SHA-256 of every CSV and SVG the commands below write with PINNED_CFG;
+# any change to a number, its formatting or the chart shows up here
+PINNED_CFG = """\
+experiment.block_size = 64
+experiment.trials = 3
+experiment.d2_grid = 0.5, 1.9, 2.5
+experiment.rho_values = 0.0, 0.6, 0.9
+optimizer.tone_grid_points = 41
+"""
+PINNED_SHA256 = {
+    "channel_taps.csv": "78a8f22f15e05fd881a61cfb643f0a20b48103898b6a7703c2d7f58dae73f7d0",
+    "channel_response.csv": "840c58583e58debc1d3890969b703a9861b5ad5a8dc404c55643a4196b59b26d",
+    "bounds.csv": "ea3d81e0baa2c83c75ef194b39a105abcfa1a5c3816a41463ae639c9676d0b05",
+    "bounds_per_tone.csv": "9aaf808714132c8cd4f459be39a68e58d095e98adc2f61dc59b62d1c83855be8",
+    "sweep_distance.csv": "43bbbfcef190e1a93699e43e365f8eccf1c6e75ba4a5dfe2519ac463e3a3213a",
+    "sweep_distance.svg": "bf6bde79b204c1ded3dab17e574910ac29844000487527857c105bd1bd02bea2",
+    "sweep_rho.csv": "acb6c77a7f0a24af4717bb6b8455d35ae3a596d07b19cfe626b71b194f43c1ff",
+    "sweep_rho.svg": "dd4869be9988b5d6d5467eadaa78aabd20376570cbd535fa509a13302db38ed0",
+}
+
+
+def test_artifacts_match_pinned_hashes(tmp_path, capsys):
+    cfg = tmp_path / "pinned.cfg"
+    cfg.write_text(PINNED_CFG)
+    out = tmp_path / "run"
+    common = ["--config", str(cfg), "--output-dir", str(out)]
+    for args in (["channel", "--trial", "1"], ["bounds", "--per-tone", "--trial", "2"],
+                 ["sweep-distance"], ["sweep-rho"]):
+        assert _run(args + common) == 0
+    capsys.readouterr()
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.suffix in (".csv", ".svg")}
+    assert written == PINNED_SHA256

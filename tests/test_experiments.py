@@ -150,6 +150,22 @@ def test_keep_samples_backs_the_aggregates():
         assert np.array_equal(kept.means[name], plain.means[name])
 
 
+def test_sweep_distance_is_sweep_rho_at_zero_correlation():
+    distance = sweep_distance(ExperimentConfig(**SMALL), keep_samples=True)
+    rho = sweep_rho(ExperimentConfig(**{**SMALL, "rho_values": (0.0,)}),
+                    keep_samples=True)
+    label = {"cutset[rho=0]": "cutset"}
+    assert rho.axis_name == distance.axis_name
+    assert np.array_equal(rho.axis_values, distance.axis_values)
+    assert rho.trials == distance.trials
+    for part in ("means", "stderrs", "samples"):
+        renamed = {label.get(n, n): v for n, v in getattr(rho, part).items()}
+        expected = getattr(distance, part)
+        assert list(renamed) == list(expected)
+        for name, arr in renamed.items():
+            assert np.array_equal(arr, expected[name]), (part, name)
+
+
 def test_write_csv_schema_scale_and_roundtrip(tmp_path):
     result = SweepResult("source_relay_distance_m", [1.0, 2.0],
                          means={"pdf": [1.5, 2.5]}, stderrs={"pdf": [0.1, 0.2]},
@@ -194,6 +210,8 @@ def test_experiment_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(rho_values=(1.0,))
+    with pytest.raises(ValueError):
+        ExperimentConfig(rho_values=(0.9999999995,))  # above NOISE_CORR_LIMIT
     with pytest.raises(ValueError):
         ExperimentConfig(rho_values=())
     with pytest.raises(ValueError):

@@ -249,21 +249,11 @@ def test_mac_excess_snr_never_negative(sd_re, sd_im, rd_re, rd_im, p_src,
     assert zeta[0] >= 0.0
 
 
-def test_auxiliary_power_never_enters_rates():
-    instance = make_instance([1.0, 0.5j], [2.0, 1.0], [1.5, -1.0])
-    split = SplitParams([0.3, 0.6], [0.2, 0.9])
-    base = PowerBudget(p_src=2.0, p_rel=1.0)
-    other = PowerBudget(p_src=2.0, p_rel=1.0, p_aux=42.0)
-    assert pdf_rate(instance, base, split) == pdf_rate(instance, other, split)
-    assert cutset_rate(instance, base, split) == cutset_rate(instance, other, split)
-
-
 def test_power_budget_defaults_and_validation():
-    assert PowerBudget(p_src=2.0, p_rel=1.0).p_aux == 2.0
     with pytest.raises(ValueError):
         PowerBudget(p_src=0.0, p_rel=1.0)
     with pytest.raises(ValueError):
-        PowerBudget(p_src=1.0, p_rel=1.0, p_aux=-1.0)
+        PowerBudget(p_src=1.0, p_rel=-1.0)
 
 
 def test_rate_report_orders_and_validates():
