@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 
 from .svchannel import (
     SVParameters, PathlossParameters, ContinuousImpulse, ChannelTaps,
-    FrequencyResponse, DegenerateChannelError, sample_impulse_response,
-    discretize_taps, apply_pathloss, dft_response,
+    FrequencyResponse, DegenerateChannelError, TruncatedChannelWarning,
+    sample_impulse_response, discretize_taps, apply_pathloss, dft_response,
 )
 from .rates import (
     InvalidParameterError, PowerBudget, RelayChannelInstance, SplitParams,
@@ -48,8 +48,9 @@ __all__ = [
     "__version__",
     # svchannel
     "SVParameters", "PathlossParameters", "ContinuousImpulse", "ChannelTaps",
-    "FrequencyResponse", "DegenerateChannelError", "sample_impulse_response",
-    "discretize_taps", "apply_pathloss", "dft_response",
+    "FrequencyResponse", "DegenerateChannelError", "TruncatedChannelWarning",
+    "sample_impulse_response", "discretize_taps", "apply_pathloss",
+    "dft_response",
     # rates
     "InvalidParameterError", "PowerBudget", "RelayChannelInstance",
     "SplitParams", "RateReport", "MutualInformationTerms", "cap",

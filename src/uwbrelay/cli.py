@@ -15,8 +15,10 @@ runtime error, 2 bad usage or configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+import warnings
 
 from . import __version__
 from .configfile import (ANNOTATED_DEFAULTS, AppConfig, ConfigError,
@@ -24,7 +26,8 @@ from .configfile import (ANNOTATED_DEFAULTS, AppConfig, ConfigError,
 from .experiments import (Geometry, draw_links, run_trial, sweep_distance,
                           sweep_rho)
 from .optimizer import oracle_suite
-from .svchannel import write_response_csv, write_taps_csv
+from .svchannel import (TruncatedChannelWarning, write_response_csv,
+                        write_taps_csv)
 from .svgplot import sweep_chart
 
 
@@ -60,6 +63,28 @@ def _load(args: argparse.Namespace) -> AppConfig:
     if getattr(args, "trial", 0) < 0:
         raise ConfigError(f"--trial must be >= 0, got {args.trial}")
     return config
+
+
+@contextlib.contextmanager
+def _report_dropped_energy():
+    """Print one stderr line per link whose draws dropped path energy
+    beyond the block: its worst share and how many draws dropped any.
+    Other warnings are shown as usual."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncatedChannelWarning)
+        yield
+    worst, draws = {}, {}
+    for item in caught:
+        msg = item.message
+        if not isinstance(msg, TruncatedChannelWarning):
+            warnings.showwarning(msg, item.category, item.filename, item.lineno)
+            continue
+        draws[msg.link] = draws.get(msg.link, 0) + 1
+        if msg.link not in worst or msg.share > worst[msg.link].share:
+            worst[msg.link] = msg
+    for link, msg in worst.items():
+        count = f" (worst of {draws[link]} draws)" if draws[link] > 1 else ""
+        print(f"uwbrelay: warning: {msg}{count}", file=sys.stderr)
 
 
 def _rate_unit(args: argparse.Namespace, config: AppConfig):
@@ -253,7 +278,8 @@ def main(argv=None) -> int:
     if getattr(args, "output_dir", None):
         os.makedirs(args.output_dir, exist_ok=True)
     try:
-        return args.func(args)
+        with _report_dropped_energy():
+            return args.func(args)
     except ConfigError as exc:
         print(f"uwbrelay: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ Rates are bits per complex sample.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,8 +25,9 @@ from . import rates
 from .optimizer import (OptimizerSettings, aligned_split, optimize_cutset,
                         optimize_degraded, optimize_pdf)
 from .rates import PowerBudget, RateReport, RelayChannelInstance
-from .svchannel import (PathlossParameters, SVParameters, apply_pathloss,
-                        dft_response, discretize_taps, sample_impulse_response)
+from .svchannel import (PathlossParameters, SVParameters, TruncatedChannelWarning,
+                        apply_pathloss, dft_response, discretize_taps,
+                        sample_impulse_response)
 
 LINK_SOURCE_DEST = 1
 LINK_SOURCE_RELAY = 2
@@ -60,6 +62,11 @@ class Geometry:
     @property
     def relay_dest_distance(self) -> float:
         return self.d1 - self.d2 if self.collinear else float(self.d3)
+
+
+def _cutset_label(rho: float) -> str:
+    """Name of the sweep-rho cut-set series at noise correlation rho."""
+    return f"cutset[rho={rho:g}]"
 
 
 def _default_d2_grid() -> tuple:
@@ -97,10 +104,16 @@ class ExperimentConfig:
         self.rho_values = tuple(float(r) for r in self.rho_values)
         if not self.rho_values:
             raise ValueError("rho_values must not be empty")
+        labels = {}
         for rho in self.rho_values:
             if not (0.0 <= rho < rates.NOISE_CORR_LIMIT):
                 raise ValueError(f"rho values must lie in "
                                  f"[0, {rates.NOISE_CORR_LIMIT!r}), got {rho!r}")
+            label = _cutset_label(rho)
+            if label in labels:
+                raise ValueError(f"rho values {labels[label]!r} and {rho!r} share "
+                                 f"the sweep-rho series label {label!r}")
+            labels[label] = rho
         self.d2_grid = tuple(float(d) for d in self.d2_grid)
         if not self.d2_grid:
             raise ValueError("d2_grid must not be empty")
@@ -151,14 +164,21 @@ def draw_link_detail(config: ExperimentConfig, distance: float,
 
 def draw_links(config: ExperimentConfig, geometry: Geometry, trial_index: int):
     """All three links of a trial as {name: (taps, response)}, keyed-seeded
-    so changing one link's stream leaves the others bit-identical."""
+    so changing one link's stream leaves the others bit-identical.  Each
+    link whose paths reach beyond block_size taps issues a
+    TruncatedChannelWarning naming it and its dropped energy share."""
     seed = config.master_seed
-    return {name: draw_link_detail(config, distance,
-                                   link_rng(seed, trial_index, link))
-            for name, distance, link in (
-                ("sd", geometry.d1, LINK_SOURCE_DEST),
-                ("sr", geometry.d2, LINK_SOURCE_RELAY),
-                ("rd", geometry.relay_dest_distance, LINK_RELAY_DEST))}
+    links = {name: draw_link_detail(config, distance,
+                                    link_rng(seed, trial_index, link))
+             for name, distance, link in (
+                 ("sd", geometry.d1, LINK_SOURCE_DEST),
+                 ("sr", geometry.d2, LINK_SOURCE_RELAY),
+                 ("rd", geometry.relay_dest_distance, LINK_RELAY_DEST))}
+    for name, (taps, _) in links.items():
+        if taps.dropped_share > 0.0:
+            warnings.warn(TruncatedChannelWarning(name, taps.dropped_share,
+                                                  config.block_size), stacklevel=2)
+    return links
 
 
 def build_instance(config: ExperimentConfig, geometry: Geometry, rho: float,
@@ -348,5 +368,5 @@ def sweep_rho(config: ExperimentConfig, progress=None,
     The achievable curves do not depend on the correlation and are
     computed once."""
     rho_list = list(config.rho_values)
-    return _sweep(config, rho_list, [f"cutset[rho={rho:g}]" for rho in rho_list],
+    return _sweep(config, rho_list, [_cutset_label(rho) for rho in rho_list],
                   progress, keep_samples)

@@ -99,13 +99,20 @@ def aligned_split(instance: RelayChannelInstance, relay_mag, aux_mag) -> SplitPa
     return SplitParams(relay_mag * rotor, aux_mag * rotor)
 
 
-class _TermsBase:
-    """Per-tone evaluation of the two competing terms (bits per tone) at
-    arbitrary split points, vectorized and memory-chunked.  The first
-    (multiple-access) term is shared; subclasses supply its coherent
-    fraction and the second term."""
+# Coarse-table entries (tones x grid points) per tone block: the engine
+# builds, scores and refines one block at a time so its temporaries stay
+# cache-sized.
+_BLOCK_ENTRIES = 1 << 18
 
-    _BUDGET = 4_000_000  # max tones*points evaluated in one shot
+
+class _TermsBase:
+    """Per-tone evaluation of the two competing terms (bits per tone) on
+    tensor-product grids.  The first (multiple-access) term is shared;
+    subclasses supply its coherent fraction and the second term.
+
+    Broadcasting computes a factor that depends on one axis only once per
+    axis value, while every grid point still sees the same float
+    operations in the same order as a pointwise evaluation."""
 
     def __init__(self, instance: RelayChannelInstance, powers: PowerBudget):
         self.block_size = instance.block_size
@@ -116,30 +123,35 @@ class _TermsBase:
                           * np.abs(instance.g_sd) * np.abs(instance.g_rd)
                           / instance.n_dest)
 
-    def at(self, points: np.ndarray):
-        """points: (1, M, d) shared across tones or (K, M, d) per tone.
-        Returns (first_term, second_term), each (K, M)."""
-        if points.shape[0] == 1 and self.block_size * points.shape[1] > self._BUDGET:
-            m = points.shape[1]
-            first = np.empty((self.block_size, m))
-            second = np.empty_like(first)
-            step = max(1, self._BUDGET // m)
-            for start in range(0, self.block_size, step):
-                sl = slice(start, min(start + step, self.block_size))
-                first[sl], second[sl] = self._eval(points, sl)
-            return first, second
-        return self._eval(points, slice(None))
+    def at(self, axes, tones=slice(None), out=(None, None)):
+        """Terms on the product of the search axes for the selected tones.
+        Each axis is (1, n_i), shared across tones, or (tones, n_i), one
+        row per tone.  Returns (first_term, second_term), each
+        (tones, n_1 * ... * n_d) in lexicographic grid order, written into
+        the arrays of `out` when given."""
+        d = len(axes)
+        grid = []
+        for i, axis in enumerate(axes):
+            shape = [axis.shape[0]] + [1] * d
+            shape[1 + i] = axis.shape[1]
+            grid.append(axis.reshape(shape))
 
-    def _eval(self, points, tone_slice):
-        base = self.mac_base[tone_slice][:, None]
-        cross = self.mac_cross[tone_slice][:, None]
-        first = np.log1p(base + cross * np.sqrt(self._coherent(points))) / LN2
-        return first, self._second(points, tone_slice)
+        def tone(gain):
+            return gain[tones].reshape((-1,) + (1,) * d)
 
-    def _coherent(self, points):
+        base = tone(self.mac_base)
+        full = (len(base),) + tuple(axis.shape[1] for axis in axes)
+        out = [None if o is None else o.reshape(full) for o in out]
+        first = np.divide(
+            np.log1p(base + tone(self.mac_cross) * np.sqrt(self._coherent(grid))),
+            LN2, out=out[0])
+        second = np.divide(self._second_nats(grid, tone), LN2, out=out[1])
+        return first.reshape(len(base), -1), second.reshape(len(base), -1)
+
+    def _coherent(self, grid):
         raise NotImplementedError
 
-    def _second(self, points, tone_slice):
+    def _second_nats(self, grid, tone):
         raise NotImplementedError
 
 
@@ -151,16 +163,16 @@ class _PdfTerms(_TermsBase):
         self.sr_gain = np.abs(instance.g_sr) ** 2 * powers.p_src / instance.n_relay
         self.sd_gain = np.abs(instance.g_sd) ** 2 * powers.p_src / instance.n_dest
 
-    def _coherent(self, points):
-        return points[..., 0] * points[..., 1]
+    def _coherent(self, grid):
+        a, b = grid
+        return a * b
 
-    def _second(self, points, tone_slice):
-        a = points[..., 0]
-        b = points[..., 1]
-        sr = self.sr_gain[tone_slice][:, None]
-        sd = self.sd_gain[tone_slice][:, None]
+    def _second_nats(self, grid, tone):
+        a, b = grid
+        sr = tone(self.sr_gain)
+        sd = tone(self.sd_gain)
         relay_snr = sr * (1.0 - a) * b / (sr * (1.0 - b) + 1.0)
-        return (np.log1p(relay_snr) + np.log1p(sd * (1.0 - b))) / LN2
+        return np.log1p(relay_snr) + np.log1p(sd * (1.0 - b))
 
 
 class _CutsetTerms(_TermsBase):
@@ -179,12 +191,11 @@ class _CutsetTerms(_TermsBase):
                 + one_minus_sq * np.abs(v) ** 2)
         self.bc_gain = powers.p_src * quad / one_minus_sq
 
-    def _coherent(self, points):
-        return points[..., 0]
+    def _coherent(self, grid):
+        return grid[0]
 
-    def _second(self, points, tone_slice):
-        bc = self.bc_gain[tone_slice][:, None]
-        return np.log1p(bc * (1.0 - points[..., 0])) / LN2
+    def _second_nats(self, grid, tone):
+        return np.log1p(tone(self.bc_gain) * (1.0 - grid[0]))
 
 
 @dataclass
@@ -198,31 +209,16 @@ class _Candidate:
         return min(self.first, self.second)
 
 
-def _grid_points(axes) -> np.ndarray:
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
-
-
-def _refine_offsets(axes, spacing_scale: float) -> np.ndarray:
-    """Lexicographically ordered local offsets: 21 points per free axis
-    spanning +/- one parent step at a tenth of it; fixed (singleton) axes
-    stay put."""
-    offset_axes = []
-    for axis in axes:
-        if axis.size > 1:
-            step = (axis[-1] - axis[0]) / (axis.size - 1) * spacing_scale
-            offset_axes.append(np.arange(-10, 11, dtype=float) * step)
-        else:
-            offset_axes.append(np.zeros(1))
-    return _grid_points(offset_axes)
-
-
-def _score(lam, first, second):
+def _score(lam, first, second, scratch=(None, None)):
     """Weighted scalarization at weight lam, or the pointwise minimum of
-    the two terms when lam is None."""
+    the two terms when lam is None.  scratch optionally holds two arrays
+    shaped like the terms; the score is written into the first."""
+    out, spare = scratch
     if lam is None:
-        return np.minimum(first, second)
-    return lam * first + (1.0 - lam) * second
+        return np.minimum(first, second, out=out)
+    score = np.multiply(first, lam, out=out)
+    score += np.multiply(second, 1.0 - lam, out=spare)
+    return score
 
 
 class _Engine:
@@ -232,40 +228,66 @@ class _Engine:
         self.terms = terms
         self.axes = [np.asarray(ax, dtype=float) for ax in axes]
         self.settings = settings
-        self.grid = _grid_points(self.axes)
-        self.coarse_first, self.coarse_second = terms.at(self.grid[None])
+        self.shape = tuple(ax.size for ax in self.axes)
+        k = terms.block_size
+        size = math.prod(self.shape)
+        step = max(1, _BLOCK_ENTRIES // size)
+        self.blocks = [slice(start, min(start + step, k))
+                       for start in range(0, k, step)]
+        self.coarse_first = np.empty((k, size))
+        self.coarse_second = np.empty((k, size))
+        shared = [ax[None] for ax in self.axes]
+        for tones in self.blocks:
+            terms.at(shared, tones,
+                     out=(self.coarse_first[tones], self.coarse_second[tones]))
+        # reused by every coarse scoring pass instead of fresh block-sized
+        # temporaries, which would be page-faulted in again on each pass
+        self.scratch = tuple(np.empty((min(step, k), size)) for _ in range(2))
+        # per refinement round and axis: 21 offsets spanning +/- one parent
+        # step at a tenth of it; fixed (singleton) axes stay put
         self.offsets = []
         scale = 1.0
         for _ in range(settings.refine_steps):
             scale /= 10.0
-            self.offsets.append(_refine_offsets(self.axes, scale))
+            self.offsets.append([
+                np.arange(-10, 11, dtype=float)
+                * ((ax[-1] - ax[0]) / (ax.size - 1) * scale)
+                if ax.size > 1 else np.zeros(1) for ax in self.axes])
         self.trace = []
         self.solves = 0
 
     def _solve(self, lam: float | None) -> _Candidate:
-        """Per-tone maximizer of _score on the grid, then refined locally.
-        lam=None maximizes the pointwise minimum on every tone separately:
-        for a single tone that is the max-min problem itself, so the
-        weighted scalarization cannot lose to its own duality gap there;
-        for longer blocks it is one more profile worth trying.  Only
-        weighted solves enter the lambda trace."""
+        """Per-tone maximizer of _score on the grid, then refined locally,
+        one tone block at a time.  lam=None maximizes the pointwise
+        minimum on every tone separately: for a single tone that is the
+        max-min problem itself, so the weighted scalarization cannot lose
+        to its own duality gap there; for longer blocks it is one more
+        profile worth trying.  Only weighted solves enter the lambda
+        trace."""
         self.solves += 1
-        idx = np.argmax(_score(lam, self.coarse_first, self.coarse_second),
-                        axis=1)  # first max = smallest grid point
-        pts = self.grid[idx]
-        k = self.terms.block_size
-        for offsets in self.offsets:
-            cand = pts[:, None, :] + offsets[None]
-            np.clip(cand, 0.0, 1.0, out=cand)
-            j = np.argmax(_score(lam, *self.terms.at(cand)), axis=1)
-            pts = cand[np.arange(k), j]
+        pts = np.empty((self.terms.block_size, len(self.axes)))
+        for tones in self.blocks:
+            first, second = self.coarse_first[tones], self.coarse_second[tones]
+            scratch = [buf[:len(first)] for buf in self.scratch]
+            idx = np.argmax(_score(lam, first, second, scratch),
+                            axis=1)  # first max = smallest grid point
+            best = [ax[i] for ax, i in
+                    zip(self.axes, np.unravel_index(idx, self.shape))]
+            rows = np.arange(idx.size)
+            for offsets in self.offsets:
+                cand = [np.clip(p[:, None] + off, 0.0, 1.0)
+                        for p, off in zip(best, offsets)]
+                j = np.argmax(_score(lam, *self.terms.at(cand, tones)), axis=1)
+                j = np.unravel_index(j, tuple(off.size for off in offsets))
+                best = [c[rows, i] for c, i in zip(cand, j)]
+            pts[tones] = np.stack(best, axis=-1)
         cand = self._evaluate(pts)
         if lam is not None:
             self.trace.append((lam, cand.first, cand.second))
         return cand
 
     def _evaluate(self, pts: np.ndarray) -> _Candidate:
-        c1, c2 = self.terms.at(pts[:, None, :])
+        c1, c2 = self.terms.at([pts[:, i:i + 1] for i in range(pts.shape[1])])
         return _Candidate(pts, float(c1.mean()), float(c2.mean()))
 
     def run(self, corner_points, extra_candidates=()):
@@ -274,7 +296,7 @@ class _Engine:
         Candidates are scanned in order, strict improvement wins, so the
         earliest entry takes any tie."""
         k = self.terms.block_size
-        d = self.grid.shape[1]
+        d = len(self.axes)
         candidates = [self._evaluate(np.tile(np.asarray(p, dtype=float), (k, 1)))
                       for p in corner_points]
         candidates.append(self._solve(None))
@@ -406,14 +428,14 @@ def brute_force_oracle(instance: RelayChannelInstance, powers: PowerBudget,
 
     if objective == "pdf":
         terms: _TermsBase = _PdfTerms(instance, powers)
-        grid = _grid_points([axis, axis])
+        axes = [axis[None], axis[None]]
     elif objective == "cutset":
         terms = _CutsetTerms(instance, powers)
-        grid = _grid_points([axis])
+        axes = [axis[None]]
     else:
         raise ValueError(f"unknown objective {objective!r}")
 
-    first, second = terms.at(grid[None])
+    first, second = terms.at(axes)
     if instance.block_size == 1:
         return float(np.max(np.minimum(first[0], second[0])))
 

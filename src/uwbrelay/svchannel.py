@@ -27,6 +27,16 @@ class DegenerateChannelError(ValueError):
     """Raised when a parameter set cannot produce any path in the window."""
 
 
+class TruncatedChannelWarning(UserWarning):
+    """A link draw dropped path energy beyond the last tap of the block."""
+
+    def __init__(self, link: str, share: float, max_taps: int):
+        super().__init__(f"link {link} dropped {100.0 * share:.3g}% of its path "
+                         f"energy beyond {max_taps} taps")
+        self.link = link
+        self.share = share
+
+
 @dataclass(frozen=True)
 class SVParameters:
     """Cluster/ray arrival and decay parameters.
@@ -108,10 +118,12 @@ class ContinuousImpulse:
 @dataclass
 class ChannelTaps:
     """Uniformly sampled baseband taps; length is the occupied span, i.e.
-    one past the last nonzero bin (at least 1)."""
+    one past the last nonzero bin (at least 1).  dropped_share is the share
+    of the path energy that fell beyond the last allowed tap."""
 
     taps: np.ndarray
     sample_period: float
+    dropped_share: float = 0.0
 
     def __post_init__(self) -> None:
         self.taps = np.asarray(self.taps, dtype=complex)
@@ -207,7 +219,8 @@ def discretize_taps(impulse: ContinuousImpulse, sample_period: float,
                     max_taps: int) -> ChannelTaps:
     """Bin path gains into uniform taps: every path adds its gain to bin
     floor(delay / sample_period); paths landing at or beyond max_taps are
-    dropped.  The result is trimmed one past the last nonzero bin."""
+    dropped and their share of the path energy is recorded.  The result is
+    trimmed one past the last nonzero bin."""
     if not (math.isfinite(sample_period) and sample_period > 0):
         raise ValueError(f"sample_period must be > 0, got {sample_period!r}")
     if max_taps < 1:
@@ -218,7 +231,10 @@ def discretize_taps(impulse: ContinuousImpulse, sample_period: float,
     np.add.at(taps, bins[keep], impulse.gains[keep])
     nonzero = np.nonzero(taps)[0]
     span = int(nonzero[-1]) + 1 if nonzero.size else 1
-    return ChannelTaps(taps[:span], sample_period)
+    total = impulse.energy
+    dropped = float(np.sum(np.abs(impulse.gains[~keep]) ** 2))
+    dropped = dropped / total if total > 0 else 0.0
+    return ChannelTaps(taps[:span], sample_period, dropped)
 
 
 def apply_pathloss(taps: ChannelTaps, distance: float, params: PathlossParameters,
@@ -232,7 +248,7 @@ def apply_pathloss(taps: ChannelTaps, distance: float, params: PathlossParameter
                + 10.0 * params.exponent * math.log10(distance / params.ref_distance)
                + shadowing_db)
     scale = 10.0 ** (-loss_db / 20.0)
-    return ChannelTaps(taps.taps * scale, taps.sample_period)
+    return ChannelTaps(taps.taps * scale, taps.sample_period, taps.dropped_share)
 
 
 def dft_response(taps: ChannelTaps, block_size: int) -> FrequencyResponse:

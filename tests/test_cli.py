@@ -186,6 +186,15 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "rho" in err
+    # two correlations that would share one sweep-rho series label
+    collide = tmp_path / "collide.cfg"
+    collide.write_text("experiment.rho_values = 0.6, 0.6000001\n")
+    assert _run(["sweep-rho", "--config", str(collide),
+                 "--output-dir", str(tmp_path / "collide")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "cutset[rho=0.6]" in err
+    assert not (tmp_path / "collide" / "sweep_rho.csv").exists()
 
 
 def test_negative_seed_override_exits_2(cfg_path, tmp_path, capsys):
@@ -261,3 +270,34 @@ def test_artifacts_match_pinned_hashes(tmp_path, capsys):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.iterdir() if p.suffix in (".csv", ".svg")}
     assert written == PINNED_SHA256
+
+
+TRUNCATING_CFG = """\
+experiment.block_size = 8
+experiment.trials = 1
+experiment.d2_grid = 1.0
+sv.max_delay = 400
+optimizer.tone_grid_points = 21
+"""
+
+
+def test_dropped_tap_energy_reported_on_stderr(tmp_path, capsys):
+    cfg = tmp_path / "truncating.cfg"
+    cfg.write_text(TRUNCATING_CFG)
+    for command in ("channel", "bounds", "sweep-distance"):
+        out = tmp_path / command
+        assert _run([command, "--config", str(cfg), "--output-dir", str(out)]) == 0
+        captured = capsys.readouterr()
+        # stdout still lists only the artifacts
+        assert all(line.startswith(str(out)) for line in captured.out.splitlines())
+        lines = captured.err.splitlines()
+        assert [line.split()[3] for line in lines] == ["sd", "sr", "rd"]
+        assert lines[0].startswith(
+            "uwbrelay: warning: link sd dropped 47% of its path energy beyond 8 taps")
+        for path in out.iterdir():
+            assert "dropped" not in path.read_text()
+
+
+def test_default_channel_draw_is_silent(tmp_path, capsys):
+    assert _run(["channel", "--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""

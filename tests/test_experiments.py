@@ -1,6 +1,7 @@
 """Monte Carlo harness: power bookkeeping, seed pairing, sweeps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from uwbrelay.experiments import (
     SweepResult,
     build_instance,
     draw_link_detail,
+    draw_links,
     link_rng,
     powers_from_config,
     run_trial,
@@ -18,6 +20,7 @@ from uwbrelay.experiments import (
     sweep_rho,
 )
 from uwbrelay.optimizer import OptimizerSettings
+from uwbrelay.svchannel import TruncatedChannelWarning
 from uwbrelay.svgplot import parse_sweep_csv
 
 # small, fast configuration shared by the sweep tests
@@ -214,6 +217,10 @@ def test_experiment_config_validation():
         ExperimentConfig(rho_values=(0.9999999995,))  # above NOISE_CORR_LIMIT
     with pytest.raises(ValueError):
         ExperimentConfig(rho_values=())
+    with pytest.raises(ValueError, match="series label"):
+        ExperimentConfig(rho_values=(0.6, 0.6000001))  # both label as rho=0.6
+    with pytest.raises(ValueError, match="series label"):
+        ExperimentConfig(rho_values=(0.5, 0.5))
     with pytest.raises(ValueError):
         ExperimentConfig(d2_grid=(3.5,))
     with pytest.raises(ValueError):
@@ -227,3 +234,18 @@ def test_draw_link_detail_consistency():
     assert response.block_size == config.block_size
     assert np.array_equal(response.gains,
                           np.fft.fft(taps.taps, n=config.block_size))
+
+
+def test_draw_links_warns_about_dropped_energy():
+    config = ExperimentConfig(**SMALL)  # 32 taps of 2 ns against 200 ns of paths
+    with pytest.warns(TruncatedChannelWarning) as record:
+        links = draw_links(config, Geometry(3.0, 1.0), 0)
+    reported = {w.message.link: w.message.share for w in record}
+    assert reported == {name: taps.dropped_share for name, (taps, _) in links.items()
+                        if taps.dropped_share > 0.0}
+    assert reported and all(0.0 < share < 1.0 for share in reported.values())
+    wide = ExperimentConfig(block_size=128, trials=1)  # 256 ns covers every path
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        links = draw_links(wide, Geometry(3.0, 1.0), 0)
+    assert all(taps.dropped_share == 0.0 for taps, _ in links.values())

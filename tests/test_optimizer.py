@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import make_instance
-from uwbrelay import rates
+from uwbrelay import optimizer, rates
+from uwbrelay.experiments import (ExperimentConfig, Geometry, build_instance,
+                                  powers_from_config)
 from uwbrelay.optimizer import (
     OptimizerSettings,
     OracleComparison,
@@ -220,3 +222,108 @@ def test_random_instance_ranges():
     assert float(np.max(np.abs(instance.noise_corr))) <= 0.9
     assert 10.0 ** -0.5 <= instance.n_dest <= 10.0 ** 0.5
     assert 10.0 ** -0.5 <= powers.p_src <= 10.0
+
+
+def _explicit_terms(terms, axes, tones):
+    """The optimizer's closed forms applied pointwise to the product grid
+    of `axes`, materialized as (tones, points) arrays in lexicographic
+    order."""
+    shape = tuple(axis.shape[1] for axis in axes)
+    index = np.indices(shape).reshape(len(axes), -1)
+    points = [axis[:, i] for axis, i in zip(axes, index)]
+    base = terms.mac_base[tones][:, None]
+    cross = terms.mac_cross[tones][:, None]
+    if isinstance(terms, optimizer._PdfTerms):
+        a, b = points
+        sr = terms.sr_gain[tones][:, None]
+        sd = terms.sd_gain[tones][:, None]
+        first = np.log1p(base + cross * np.sqrt(a * b)) / rates.LN2
+        relay_snr = sr * (1.0 - a) * b / (sr * (1.0 - b) + 1.0)
+        second = (np.log1p(relay_snr) + np.log1p(sd * (1.0 - b))) / rates.LN2
+    else:
+        (t,) = points
+        first = np.log1p(base + cross * np.sqrt(t)) / rates.LN2
+        second = np.log1p(terms.bc_gain[tones][:, None] * (1.0 - t)) / rates.LN2
+    return first, second
+
+
+def test_product_kernel_equals_explicit_points():
+    rng = np.random.default_rng(35)
+    instance, powers = random_instance(12, rng)
+    pdf = optimizer._PdfTerms(instance, powers)
+    cutset = optimizer._CutsetTerms(instance, powers)
+    tones = slice(3, 9)
+
+    def axis(rows, size):
+        return rng.random((rows, size))
+
+    cases = [
+        (pdf, [axis(1, 7), axis(1, 5)]),            # shared 2-D grid
+        (pdf, [axis(6, 7), axis(6, 5)]),            # per-tone 2-D grid
+        (pdf, [axis(6, 9), np.ones((6, 1))]),       # pinned auxiliary axis
+        (pdf, [axis(1, 9), axis(1, 1)]),            # pinned, shared
+        (cutset, [axis(1, 11)]),                    # shared 1-D grid
+        (cutset, [axis(6, 11)]),                    # per-tone 1-D grid
+    ]
+    for terms, axes in cases:
+        got = terms.at(axes, tones)
+        want = _explicit_terms(terms, axes, tones)
+        written = tuple(np.empty_like(w) for w in want)  # as the coarse table
+        terms.at(axes, tones, out=written)
+        for g, o, w in zip(got, written, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
+            assert np.array_equal(o, w)
+    # all tones at once, shared axes
+    got = pdf.at([axis(1, 4), axis(1, 3)])
+    assert got[0].shape == (12, 12)
+
+
+def _block128_instance():
+    config = ExperimentConfig(block_size=128, trials=1)
+    powers = powers_from_config(config)[0]
+    return build_instance(config, Geometry(config.d1, 0.3), 0.6, 0), powers
+
+
+def _zero_gain_instance():
+    inst, powers = random_instance(16, np.random.default_rng(36))
+    g_sd, g_sr, g_rd = inst.g_sd.copy(), inst.g_sr.copy(), inst.g_rd.copy()
+    g_sr[::3] = 0.0
+    g_rd[1::4] = 0.0
+    g_sd[5] = g_sr[5] = g_rd[5] = 0.0  # every grid point ties on this tone
+    return RelayChannelInstance(g_sd=g_sd, g_sr=g_sr, g_rd=g_rd,
+                                n_dest=inst.n_dest, n_relay=inst.n_relay,
+                                noise_corr=inst.noise_corr), powers
+
+
+@pytest.mark.parametrize("make", [_block128_instance, _zero_gain_instance])
+def test_tone_blocking_cannot_change_a_result(monkeypatch, make):
+    instance, powers = make()
+    settings = OptimizerSettings()
+    axis = np.linspace(0.0, 1.0, settings.tone_grid_points)
+    pdf = optimizer._PdfTerms(instance, powers)
+    problems = [
+        (pdf, [axis, axis], [(0.0, 0.0)]),
+        (pdf, [axis, np.array([1.0])], [(0.0, 1.0), (1.0, 1.0)]),
+        (optimizer._CutsetTerms(instance, powers), [axis], [(0.0,), (1.0,)]),
+    ]
+
+    def solve_all(entries):
+        monkeypatch.setattr(optimizer, "_BLOCK_ENTRIES", entries)
+        out = []
+        for terms, axes, corners in problems:
+            engine = optimizer._Engine(terms, axes, settings)
+            best, converged = engine.run(corner_points=corners)
+            out.append((len(engine.blocks), best.points, best.first, best.second,
+                        engine.trace, engine.solves, converged))
+        return out
+
+    per_tone = solve_all(1)
+    whole = solve_all(1 << 40)
+    for one, all_ in zip(per_tone, whole):
+        assert one[0] == instance.block_size and all_[0] == 1
+        assert np.array_equal(one[1], all_[1])
+        assert one[2:] == all_[2:]
+    if make is _block128_instance:
+        # the pdf engine ran its weight bisection: the traces are not trivial
+        assert len(whole[0][4]) > 2

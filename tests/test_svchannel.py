@@ -65,6 +65,16 @@ def test_binning_drops_paths_beyond_max_taps():
     assert np.array_equal(taps.taps, np.array([1.0j]))
 
 
+def test_binning_records_dropped_energy_share():
+    impulse = ContinuousImpulse([0.2, 5.5], [1.0j, 2.0])
+    taps = discretize_taps(impulse, sample_period=1.0, max_taps=3)
+    assert taps.dropped_share == pytest.approx(0.8, rel=1e-15)
+    scaled = apply_pathloss(taps, 2.0, PathlossParameters(), np.random.default_rng(1))
+    assert scaled.dropped_share == taps.dropped_share
+    kept = discretize_taps(impulse, sample_period=1.0, max_taps=6)
+    assert kept.dropped_share == 0.0
+
+
 def test_binning_all_dropped_yields_one_zero_tap():
     impulse = ContinuousImpulse([5.5], [1.0])
     taps = discretize_taps(impulse, sample_period=1.0, max_taps=3)
