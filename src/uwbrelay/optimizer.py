@@ -22,11 +22,18 @@ against brute_force_oracle, never assumed.
 Deterministic tie-breaking: grids are enumerated in ascending
 lexicographic order and argmax takes the first maximizer, so among equal
 objectives the smallest (a_i, then b_i) wins.
+
+An engine whose coarse tables span several tone chunks shares them out
+over one thread per CPU in the process's affinity mask.  Each tone is
+built, scored and refined by the same float operations whichever thread
+takes it, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,9 +107,34 @@ def aligned_split(instance: RelayChannelInstance, relay_mag, aux_mag) -> SplitPa
 
 
 # Coarse-table entries (tones x grid points) per tone block: the engine
-# builds, scores and refines one block at a time so its temporaries stay
-# cache-sized.
-_BLOCK_ENTRIES = 1 << 18
+# builds and scores one block at a time so its working set stays
+# cache-sized.  2^18 and 2^19 run no faster and keep larger score buffers.
+_BLOCK_ENTRIES = 1 << 17
+# Consecutive blocks per chunk, the unit of tone work a thread takes and
+# refines at once: about 100 tones at a 101-point grid, enough for numpy's
+# GIL-free inner loops to outweigh the interpreter in the refinement.
+_CHUNK_BLOCKS = 8
+
+
+# Threads sharing an engine's tone chunks: one per CPU the process may run
+# on.  An engine with a single chunk runs in the calling thread alone.
+try:
+    TONE_WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity masks on this platform
+    TONE_WORKERS = os.cpu_count() or 1
+_helper_pool = None
+
+
+def _helpers():
+    """The executor of the helper threads, started on first use."""
+    global _helper_pool
+    if _helper_pool is None:
+        # imported here: concurrent.futures loads logging, about 10 ms of
+        # every start-up, and single-chunk runs never need it
+        from concurrent.futures import ThreadPoolExecutor
+        _helper_pool = ThreadPoolExecutor(max(1, TONE_WORKERS - 1),
+                                          thread_name_prefix="uwbrelay-tones")
+    return _helper_pool
 
 
 class _TermsBase:
@@ -128,7 +160,11 @@ class _TermsBase:
         Each axis is (1, n_i), shared across tones, or (tones, n_i), one
         row per tone.  Returns (first_term, second_term), each
         (tones, n_1 * ... * n_d) in lexicographic grid order, written into
-        the arrays of `out` when given."""
+        the arrays of `out` when given.
+
+        Each term is built in its output array by a chain of in-place
+        ufuncs with the operations and operand order of the plain
+        expression, so no full-size temporary is made."""
         d = len(axes)
         grid = []
         for i, axis in enumerate(axes):
@@ -141,17 +177,24 @@ class _TermsBase:
 
         base = tone(self.mac_base)
         full = (len(base),) + tuple(axis.shape[1] for axis in axes)
-        out = [None if o is None else o.reshape(full) for o in out]
-        first = np.divide(
-            np.log1p(base + tone(self.mac_cross) * np.sqrt(self._coherent(grid))),
-            LN2, out=out[0])
-        second = np.divide(self._second_nats(grid, tone), LN2, out=out[1])
+        first, second = (np.empty(full) if o is None else o.reshape(full)
+                         for o in out)
+        # log1p(base + cross * sqrt(coherent)) / LN2
+        np.sqrt(self._coherent(grid, first), out=first)
+        np.multiply(tone(self.mac_cross), first, out=first)
+        np.add(base, first, out=first)
+        np.log1p(first, out=first)
+        np.divide(first, LN2, out=first)
+        np.divide(self._second_nats(grid, tone, second), LN2, out=second)
         return first.reshape(len(base), -1), second.reshape(len(base), -1)
 
-    def _coherent(self, grid):
+    def _coherent(self, grid, out):
+        """The coherent fraction, written into out or returned unchanged
+        when it is an axis itself."""
         raise NotImplementedError
 
-    def _second_nats(self, grid, tone):
+    def _second_nats(self, grid, tone, out):
+        """The second term in nats, written into out."""
         raise NotImplementedError
 
 
@@ -163,16 +206,19 @@ class _PdfTerms(_TermsBase):
         self.sr_gain = np.abs(instance.g_sr) ** 2 * powers.p_src / instance.n_relay
         self.sd_gain = np.abs(instance.g_sd) ** 2 * powers.p_src / instance.n_dest
 
-    def _coherent(self, grid):
+    def _coherent(self, grid, out):
         a, b = grid
-        return a * b
+        return np.multiply(a, b, out=out)
 
-    def _second_nats(self, grid, tone):
+    def _second_nats(self, grid, tone, out):
+        # log1p(sr * (1 - a) * b / (sr * (1 - b) + 1)) + log1p(sd * (1 - b))
         a, b = grid
         sr = tone(self.sr_gain)
         sd = tone(self.sd_gain)
-        relay_snr = sr * (1.0 - a) * b / (sr * (1.0 - b) + 1.0)
-        return np.log1p(relay_snr) + np.log1p(sd * (1.0 - b))
+        np.multiply(sr * (1.0 - a), b, out=out)
+        np.divide(out, sr * (1.0 - b) + 1.0, out=out)
+        np.log1p(out, out=out)
+        return np.add(out, np.log1p(sd * (1.0 - b)), out=out)
 
 
 class _CutsetTerms(_TermsBase):
@@ -191,11 +237,13 @@ class _CutsetTerms(_TermsBase):
                 + one_minus_sq * np.abs(v) ** 2)
         self.bc_gain = powers.p_src * quad / one_minus_sq
 
-    def _coherent(self, grid):
+    def _coherent(self, grid, out):
         return grid[0]
 
-    def _second_nats(self, grid, tone):
-        return np.log1p(tone(self.bc_gain) * (1.0 - grid[0]))
+    def _second_nats(self, grid, tone, out):
+        # log1p(bc * (1 - t))
+        np.multiply(tone(self.bc_gain), 1.0 - grid[0], out=out)
+        return np.log1p(out, out=out)
 
 
 @dataclass
@@ -234,15 +282,23 @@ class _Engine:
         step = max(1, _BLOCK_ENTRIES // size)
         self.blocks = [slice(start, min(start + step, k))
                        for start in range(0, k, step)]
+        self.chunks = [self.blocks[i:i + _CHUNK_BLOCKS]
+                       for i in range(0, len(self.blocks), _CHUNK_BLOCKS)]
         self.coarse_first = np.empty((k, size))
         self.coarse_second = np.empty((k, size))
+        # one pair of score buffers per thread, reused by every coarse
+        # scoring pass instead of fresh block-sized temporaries, which would
+        # be page-faulted in again on each pass
+        self.scratch = [tuple(np.empty((min(step, k), size)) for _ in range(2))
+                        for _ in range(min(TONE_WORKERS, len(self.chunks)))]
         shared = [ax[None] for ax in self.axes]
-        for tones in self.blocks:
-            terms.at(shared, tones,
-                     out=(self.coarse_first[tones], self.coarse_second[tones]))
-        # reused by every coarse scoring pass instead of fresh block-sized
-        # temporaries, which would be page-faulted in again on each pass
-        self.scratch = tuple(np.empty((min(step, k), size)) for _ in range(2))
+
+        def build(chunk, scratch):
+            for tones in chunk:
+                terms.at(shared, tones, out=(self.coarse_first[tones],
+                                             self.coarse_second[tones]))
+
+        self._each_chunk(build)
         # per refinement round and axis: 21 offsets spanning +/- one parent
         # step at a tenth of it; fixed (singleton) axes stay put
         self.offsets = []
@@ -266,13 +322,19 @@ class _Engine:
         trace."""
         self.solves += 1
         pts = np.empty((self.terms.block_size, len(self.axes)))
-        for tones in self.blocks:
-            first, second = self.coarse_first[tones], self.coarse_second[tones]
-            scratch = [buf[:len(first)] for buf in self.scratch]
-            idx = np.argmax(_score(lam, first, second, scratch),
-                            axis=1)  # first max = smallest grid point
+
+        def solve(chunk, scratch):
+            idx = []
+            for block in chunk:
+                first = self.coarse_first[block]
+                second = self.coarse_second[block]
+                buffers = [buf[:len(first)] for buf in scratch]
+                idx.append(np.argmax(_score(lam, first, second, buffers),
+                                     axis=1))  # first max = smallest grid point
+            idx = np.concatenate(idx)
             best = [ax[i] for ax, i in
                     zip(self.axes, np.unravel_index(idx, self.shape))]
+            tones = slice(chunk[0].start, chunk[-1].stop)
             rows = np.arange(idx.size)
             for offsets in self.offsets:
                 cand = [np.clip(p[:, None] + off, 0.0, 1.0)
@@ -281,10 +343,39 @@ class _Engine:
                 j = np.unravel_index(j, tuple(off.size for off in offsets))
                 best = [c[rows, i] for c, i in zip(cand, j)]
             pts[tones] = np.stack(best, axis=-1)
+
+        self._each_chunk(solve)
         cand = self._evaluate(pts)
         if lam is not None:
             self.trace.append((lam, cand.first, cand.second))
         return cand
+
+    def _each_chunk(self, work) -> None:
+        """Run work(chunk, scratch) on every tone chunk, shared out over one
+        thread per scratch pair, the calling thread included.  A chunk's
+        work writes only its own tone rows, so the split cannot change a
+        result.  An exception from any chunk is raised here once every
+        thread has stopped."""
+        chunks = iter(self.chunks)
+        lock = threading.Lock()
+
+        def drain(scratch):
+            while True:
+                with lock:
+                    chunk = next(chunks, None)
+                if chunk is None:
+                    return
+                work(chunk, scratch)
+
+        helpers = [_helpers().submit(drain, scratch)
+                   for scratch in self.scratch[1:]]
+        try:
+            drain(self.scratch[0])
+        finally:
+            for helper in helpers:
+                helper.exception()  # waits without raising
+        for helper in helpers:
+            helper.result()
 
     def _evaluate(self, pts: np.ndarray) -> _Candidate:
         c1, c2 = self.terms.at([pts[:, i:i + 1] for i in range(pts.shape[1])])
