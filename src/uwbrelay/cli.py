@@ -26,7 +26,7 @@ from .configfile import (ANNOTATED_DEFAULTS, AppConfig, ConfigError,
                          config_signature, default_config, load_config)
 from .experiments import (Geometry, draw_links, run_trial, sweep_distance,
                           sweep_rho)
-from .optimizer import TONE_WORKERS, oracle_suite
+from .optimizer import oracle_suite
 from .svchannel import (TruncatedChannelWarning, write_response_csv,
                         write_taps_csv)
 from .svgplot import sweep_chart
@@ -99,12 +99,6 @@ def _first_geometry(config: AppConfig) -> Geometry:
     return Geometry(exp.d1, exp.d2_grid[0])
 
 
-def _announce_workers(args: argparse.Namespace, label: str) -> None:
-    if args.verbose:
-        print(f"{label}: {TONE_WORKERS} optimizer worker(s), one per CPU "
-              "in the affinity mask", file=sys.stderr)
-
-
 def _progress(args: argparse.Namespace, label: str, trials: int):
     """Per grid point: trials per second so far and the time left at that
     pace."""
@@ -147,7 +141,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     exp = config.experiment
     geometry = _first_geometry(config)
     rho = exp.rho_values[0]
-    _announce_workers(args, "bounds")
     report = run_trial(exp, geometry, rho, args.trial)
     unit, scale = _rate_unit(args, config)
 
@@ -182,7 +175,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def _run_sweep(args: argparse.Namespace, command: str, runner, title: str) -> int:
     config = _load(args)
     unit, scale = _rate_unit(args, config)
-    _announce_workers(args, command)
     result = runner(config.experiment,
                     progress=_progress(args, command, config.experiment.trials))
     csv_name = command.replace("-", "_") + ".csv"

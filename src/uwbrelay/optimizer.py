@@ -22,18 +22,11 @@ against brute_force_oracle, never assumed.
 Deterministic tie-breaking: grids are enumerated in ascending
 lexicographic order and argmax takes the first maximizer, so among equal
 objectives the smallest (a_i, then b_i) wins.
-
-An engine whose coarse tables span several tone chunks shares them out
-over one thread per CPU in the process's affinity mask.  Each tone is
-built, scored and refined by the same float operations whichever thread
-takes it, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,31 +103,10 @@ def aligned_split(instance: RelayChannelInstance, relay_mag, aux_mag) -> SplitPa
 # builds and scores one block at a time so its working set stays
 # cache-sized.  2^18 and 2^19 run no faster and keep larger score buffers.
 _BLOCK_ENTRIES = 1 << 17
-# Consecutive blocks per chunk, the unit of tone work a thread takes and
-# refines at once: about 100 tones at a 101-point grid, enough for numpy's
-# GIL-free inner loops to outweigh the interpreter in the refinement.
+# Consecutive blocks per chunk, the unit of tone work refined at once:
+# about 100 tones at a 101-point grid, enough for numpy's inner loops to
+# outweigh the interpreter in the refinement.
 _CHUNK_BLOCKS = 8
-
-
-# Threads sharing an engine's tone chunks: one per CPU the process may run
-# on.  An engine with a single chunk runs in the calling thread alone.
-try:
-    TONE_WORKERS = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity masks on this platform
-    TONE_WORKERS = os.cpu_count() or 1
-_helper_pool = None
-
-
-def _helpers():
-    """The executor of the helper threads, started on first use."""
-    global _helper_pool
-    if _helper_pool is None:
-        # imported here: concurrent.futures loads logging, about 10 ms of
-        # every start-up, and single-chunk runs never need it
-        from concurrent.futures import ThreadPoolExecutor
-        _helper_pool = ThreadPoolExecutor(max(1, TONE_WORKERS - 1),
-                                          thread_name_prefix="uwbrelay-tones")
-    return _helper_pool
 
 
 class _TermsBase:
@@ -286,19 +258,13 @@ class _Engine:
                        for i in range(0, len(self.blocks), _CHUNK_BLOCKS)]
         self.coarse_first = np.empty((k, size))
         self.coarse_second = np.empty((k, size))
-        # one pair of score buffers per thread, reused by every coarse
-        # scoring pass instead of fresh block-sized temporaries, which would
-        # be page-faulted in again on each pass
-        self.scratch = [tuple(np.empty((min(step, k), size)) for _ in range(2))
-                        for _ in range(min(TONE_WORKERS, len(self.chunks)))]
         shared = [ax[None] for ax in self.axes]
-
-        def build(chunk, scratch):
-            for tones in chunk:
-                terms.at(shared, tones, out=(self.coarse_first[tones],
-                                             self.coarse_second[tones]))
-
-        self._each_chunk(build)
+        for tones in self.blocks:
+            terms.at(shared, tones,
+                     out=(self.coarse_first[tones], self.coarse_second[tones]))
+        # reused by every coarse scoring pass instead of fresh block-sized
+        # temporaries, which would be page-faulted in again on each pass
+        self.scratch = tuple(np.empty((min(step, k), size)) for _ in range(2))
         # per refinement round and axis: 21 offsets spanning +/- one parent
         # step at a tenth of it; fixed (singleton) axes stay put
         self.offsets = []
@@ -313,8 +279,8 @@ class _Engine:
         self.solves = 0
 
     def _solve(self, lam: float | None) -> _Candidate:
-        """Per-tone maximizer of _score on the grid, then refined locally,
-        one tone block at a time.  lam=None maximizes the pointwise
+        """Per-tone maximizer of _score on the grid, scored one tone block
+        at a time, then refined locally one chunk at a time.  lam=None maximizes the pointwise
         minimum on every tone separately: for a single tone that is the
         max-min problem itself, so the weighted scalarization cannot lose
         to its own duality gap there; for longer blocks it is one more
@@ -322,14 +288,13 @@ class _Engine:
         trace."""
         self.solves += 1
         pts = np.empty((self.terms.block_size, len(self.axes)))
-
-        def solve(chunk, scratch):
+        for chunk in self.chunks:
             idx = []
             for block in chunk:
                 first = self.coarse_first[block]
                 second = self.coarse_second[block]
-                buffers = [buf[:len(first)] for buf in scratch]
-                idx.append(np.argmax(_score(lam, first, second, buffers),
+                scratch = [buf[:len(first)] for buf in self.scratch]
+                idx.append(np.argmax(_score(lam, first, second, scratch),
                                      axis=1))  # first max = smallest grid point
             idx = np.concatenate(idx)
             best = [ax[i] for ax, i in
@@ -343,39 +308,10 @@ class _Engine:
                 j = np.unravel_index(j, tuple(off.size for off in offsets))
                 best = [c[rows, i] for c, i in zip(cand, j)]
             pts[tones] = np.stack(best, axis=-1)
-
-        self._each_chunk(solve)
         cand = self._evaluate(pts)
         if lam is not None:
             self.trace.append((lam, cand.first, cand.second))
         return cand
-
-    def _each_chunk(self, work) -> None:
-        """Run work(chunk, scratch) on every tone chunk, shared out over one
-        thread per scratch pair, the calling thread included.  A chunk's
-        work writes only its own tone rows, so the split cannot change a
-        result.  An exception from any chunk is raised here once every
-        thread has stopped."""
-        chunks = iter(self.chunks)
-        lock = threading.Lock()
-
-        def drain(scratch):
-            while True:
-                with lock:
-                    chunk = next(chunks, None)
-                if chunk is None:
-                    return
-                work(chunk, scratch)
-
-        helpers = [_helpers().submit(drain, scratch)
-                   for scratch in self.scratch[1:]]
-        try:
-            drain(self.scratch[0])
-        finally:
-            for helper in helpers:
-                helper.exception()  # waits without raising
-        for helper in helpers:
-            helper.result()
 
     def _evaluate(self, pts: np.ndarray) -> _Candidate:
         c1, c2 = self.terms.at([pts[:, i:i + 1] for i in range(pts.shape[1])])

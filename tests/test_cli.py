@@ -9,7 +9,7 @@ import pytest
 from uwbrelay.cli import main
 from uwbrelay.configfile import ANNOTATED_DEFAULTS
 from uwbrelay.experiments import ExperimentConfig, Geometry, run_trial
-from uwbrelay.optimizer import TONE_WORKERS, OptimizerSettings
+from uwbrelay.optimizer import OptimizerSettings
 from uwbrelay.svgplot import parse_sweep_csv, sweep_chart
 
 SMALL_CFG = """\
@@ -128,26 +128,11 @@ def test_sweep_rho_artifacts(cfg_path, tmp_path, capsys):
                  "--verbose"]) == 0
     captured = capsys.readouterr()
     assert "sweep-rho: 1/2 grid points" in captured.err
-    assert f"sweep-rho: {TONE_WORKERS} optimizer worker(s)" in captured.err
     assert re.search(r"sweep-rho: 2/2 grid points, [0-9.e+]+ trials/s, "
                      r"ETA 0 s$", captured.err, re.MULTILINE)
     assert "trials/s" not in (out / "sweep_rho.csv").read_text()
     _, _, groups = parse_sweep_csv((out / "sweep_rho.csv").read_text())
     assert set(groups) == {"cutset[rho=0]", "cutset[rho=0.5]", "pdf", "df", "direct"}
-
-
-def test_verbose_bounds_reports_workers_on_stderr_only(cfg_path, tmp_path,
-                                                      capsys):
-    out = tmp_path / "run"
-    args = ["bounds", "--config", cfg_path, "--output-dir", str(out)]
-    assert _run(args) == 0
-    quiet = (out / "bounds.csv").read_bytes()
-    assert "optimizer worker" not in capsys.readouterr().err
-    assert _run(args + ["--verbose"]) == 0
-    captured = capsys.readouterr()
-    assert f"bounds: {TONE_WORKERS} optimizer worker(s)" in captured.err
-    assert "worker" not in captured.out
-    assert (out / "bounds.csv").read_bytes() == quiet
 
 
 def test_single_point_sweep_row_equals_bounds(tmp_path, capsys):

@@ -1,9 +1,6 @@
 """Split optimizers against frozen values and exhaustive search."""
 
 import math
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -350,30 +347,8 @@ def _zero_gain_instance():
                                 noise_corr=inst.noise_corr), powers
 
 
-@pytest.fixture
-def fresh_helpers(monkeypatch):
-    """A helper pool started inside the test, under frequent thread
-    switches, and shut down after it."""
-    monkeypatch.setattr(optimizer, "_helper_pool", None)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-        if optimizer._helper_pool is not None:
-            optimizer._helper_pool.shutdown()
-
-
-# 4 workers outnumber the cores of a 2-core machine: a stress case for the
-# shared chunk iterator
-@pytest.mark.parametrize("make, workers", [
-    pytest.param(make, workers, id=make.__name__ + (
-        "" if workers == 1 else f"-{workers}workers"))
-    for make in (_block128_instance, _zero_gain_instance)
-    for workers in (1, 2, 4)])
-def test_tone_blocking_cannot_change_a_result(monkeypatch, fresh_helpers, make,
-                                              workers):
+@pytest.mark.parametrize("make", [_block128_instance, _zero_gain_instance])
+def test_tone_blocking_cannot_change_a_result(monkeypatch, make):
     instance, powers = make()
     settings = OptimizerSettings()
     axis = np.linspace(0.0, 1.0, settings.tone_grid_points)
@@ -384,21 +359,20 @@ def test_tone_blocking_cannot_change_a_result(monkeypatch, fresh_helpers, make,
         (optimizer._CutsetTerms(instance, powers), [axis], [(0.0,), (1.0,)]),
     ]
 
-    def solve_all(entries, threads):
+    def solve_all(entries):
         monkeypatch.setattr(optimizer, "_BLOCK_ENTRIES", entries)
-        monkeypatch.setattr(optimizer, "TONE_WORKERS", threads)
         out = []
         for terms, axes, corners in problems:
             engine = optimizer._Engine(terms, axes, settings)
-            assert len(engine.scratch) == min(threads, len(engine.chunks))
             best, converged = engine.run(corner_points=corners)
             out.append((len(engine.blocks), best.points, best.first, best.second,
                         engine.trace, engine.solves, converged))
         return out
 
-    # one-tone blocks shared out over `workers` threads against one block
-    per_tone = solve_all(1, workers)
-    whole = solve_all(1 << 40, 1)
+    # one-tone blocks, refined in chunks of _CHUNK_BLOCKS tones, against
+    # one block refined at once
+    per_tone = solve_all(1)
+    whole = solve_all(1 << 40)
     for one, all_ in zip(per_tone, whole):
         assert one[0] == instance.block_size and all_[0] == 1
         assert np.array_equal(one[1], all_[1])
@@ -406,60 +380,3 @@ def test_tone_blocking_cannot_change_a_result(monkeypatch, fresh_helpers, make,
     if make is _block128_instance:
         # the pdf engine ran its weight bisection: the traces are not trivial
         assert len(whole[0][4]) > 2
-
-
-def test_single_block_engines_start_no_thread(monkeypatch):
-    config = ExperimentConfig(block_size=128, trials=1)
-    powers = powers_from_config(config)[0]
-    instance = build_instance(config, Geometry(config.d1, 0.3), 0.6, 0)
-    settings = OptimizerSettings(tone_grid_points=41)
-    axis = np.linspace(0.0, 1.0, settings.tone_grid_points)
-    monkeypatch.setattr(optimizer, "TONE_WORKERS", 2)
-
-    def no_helpers():
-        raise AssertionError("a single-chunk engine asked for helper threads")
-
-    monkeypatch.setattr(optimizer, "_helpers", no_helpers)
-    threads = threading.active_count()
-    problems = [
-        (optimizer._PdfTerms(instance, powers), [axis, axis], [(0.0, 0.0)]),
-        (optimizer._CutsetTerms(instance, powers), [axis], [(0.0,), (1.0,)]),
-    ]
-    for terms, axes, corners in problems:
-        engine = optimizer._Engine(terms, axes, settings)
-        engine.run(corner_points=corners)
-        assert len(engine.chunks) == 1 and len(engine.scratch) == 1
-    optimize_cutset(instance, powers, settings)
-    assert threading.active_count() == threads
-
-
-def test_chunk_failure_surfaces_without_hanging(monkeypatch):
-    instance, powers = random_instance(64, np.random.default_rng(38))
-    monkeypatch.setattr(optimizer, "_BLOCK_ENTRIES", 1)  # 8 chunks of 8 tones
-    monkeypatch.setattr(optimizer, "TONE_WORKERS", 2)
-    at = optimizer._PdfTerms.at
-
-    def failing_at(self, axes, tones=slice(None), out=(None, None)):
-        if threading.current_thread() is not runner:
-            raise RuntimeError("chunk failed")  # only in a helper thread
-        time.sleep(0.01)  # leave chunks for the helper thread
-        return at(self, axes, tones, out)
-
-    monkeypatch.setattr(optimizer._PdfTerms, "at", failing_at)
-    outcome = []
-
-    def run():
-        try:
-            optimize_pdf(instance, powers)
-        except RuntimeError as exc:
-            outcome.append(str(exc))
-
-    runner = threading.Thread(target=run, daemon=True)
-    runner.start()
-    runner.join(timeout=60.0)
-    assert not runner.is_alive()
-    assert outcome == ["chunk failed"]
-    # the helper pool survives a failed chunk
-    monkeypatch.setattr(optimizer._PdfTerms, "at", at)
-    result = optimize_pdf(instance, powers)
-    assert result.rate > 0.0
