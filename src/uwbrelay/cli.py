@@ -71,21 +71,23 @@ def _report_dropped_energy():
     """Print one stderr line per link whose draws dropped path energy
     beyond the block: its worst share and how many draws dropped any.
     Other warnings are shown as usual."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TruncatedChannelWarning)
-        yield
-    worst, draws = {}, {}
-    for item in caught:
-        msg = item.message
-        if not isinstance(msg, TruncatedChannelWarning):
-            warnings.showwarning(msg, item.category, item.filename, item.lineno)
-            continue
-        draws[msg.link] = draws.get(msg.link, 0) + 1
-        if msg.link not in worst or msg.share > worst[msg.link].share:
-            worst[msg.link] = msg
-    for link, msg in worst.items():
-        count = f" (worst of {draws[link]} draws)" if draws[link] > 1 else ""
-        print(f"uwbrelay: warning: {msg}{count}", file=sys.stderr)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", TruncatedChannelWarning)
+            yield
+    finally:
+        worst, draws = {}, {}
+        for item in caught:
+            msg = item.message
+            if not isinstance(msg, TruncatedChannelWarning):
+                warnings.showwarning(msg, item.category, item.filename, item.lineno)
+                continue
+            draws[msg.link] = draws.get(msg.link, 0) + 1
+            if msg.link not in worst or msg.share > worst[msg.link].share:
+                worst[msg.link] = msg
+        for link, msg in worst.items():
+            count = f" (worst of {draws[link]} draws)" if draws[link] > 1 else ""
+            print(f"uwbrelay: warning: {msg}{count}", file=sys.stderr)
 
 
 def _rate_unit(args: argparse.Namespace, config: AppConfig):

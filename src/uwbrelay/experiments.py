@@ -22,8 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rates
-from .optimizer import (OptimizerSettings, aligned_split, optimize_cutset,
-                        optimize_degraded, optimize_pdf)
+from .optimizer import OptimizerSettings, aligned_split, optimize_cutset, optimize_pdf
 from .rates import PowerBudget, RateReport, RelayChannelInstance
 from .svchannel import (PathlossParameters, SVParameters, TruncatedChannelWarning,
                         apply_pathloss, dft_response, discretize_taps,
@@ -95,6 +94,15 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.bandwidth_mhz) and self.bandwidth_mhz > 0):
             raise ValueError(f"bandwidth_mhz must be > 0, got {self.bandwidth_mhz!r}")
+        for name in ("psd_tx_dbm_per_mhz", "psd_noise_dbm_per_mhz"):
+            level = getattr(self, name)
+            try:
+                watts = _psd_to_watts(level, self.bandwidth_mhz)
+            except OverflowError:
+                watts = math.inf
+            if not 0.0 < watts < math.inf:  # also false for nan
+                raise ValueError(f"{name} must be finite and integrate to a finite "
+                                 f"power > 0 over the band, got {level!r}")
         if self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size!r}")
         if self.trials < 1:
@@ -222,7 +230,7 @@ def _solve_trial(config: ExperimentConfig, geometry: Geometry,
     powers, n_dest, _ = powers_from_config(config)
     settings = config.optimizer
     pdf_res = optimize_pdf(instance, powers, settings)
-    df_res = optimize_degraded(instance, powers, settings)
+    df_res = pdf_res.full_decode
     cuts = [_cutset_with_product_candidate(
         replace(instance, noise_corr=np.full(config.block_size, complex(rho))),
         powers, settings, pdf_res) for rho in rho_values]

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rates
-from .rates import (InvalidParameterError, PowerBudget, RelayChannelInstance,
-                    SplitParams, NOISE_CORR_LIMIT, LN2)
+from .rates import PowerBudget, RelayChannelInstance, SplitParams, LN2
 
 
 @dataclass(frozen=True)
@@ -61,18 +60,28 @@ class OptimizerSettings:
 @dataclass
 class OptimizationResult:
     """Solution of one bound optimization.  rate is the rates-module
-    evaluation of split; binding_term says which tone-averaged term is
-    smaller at the optimum ('first' = multiple-access, 'second' = decode
-    or broadcast, 'both' when equalized); converged is False only when
-    the weight bisection hit its iteration cap."""
+    evaluation of split; magnitudes (k, d) and the tone-averaged terms
+    (first = multiple-access, second = decode or broadcast) are the search
+    optimum; converged is False only when the weight bisection hit its
+    iteration cap; full_decode is the degraded optimum of a pdf search."""
 
     split: SplitParams
     rate: float
-    binding_term: str
+    magnitudes: np.ndarray
+    terms: tuple
     iterations: int
     converged: bool
     objective: str
     lambda_trace: list = field(default_factory=list)
+    full_decode: OptimizationResult | None = None
+
+    @property
+    def binding_term(self) -> str:
+        """The smaller term: 'first', 'second', or 'both' when equalized."""
+        first, second = self.terms
+        if abs(first - second) <= 1e-9:
+            return "both"
+        return "first" if first < second else "second"
 
 
 def align_phases(instance: RelayChannelInstance) -> np.ndarray:
@@ -197,17 +206,11 @@ class _CutsetTerms(_TermsBase):
     """Terms of the cut-set problem over the product t = a * b."""
 
     def __init__(self, instance: RelayChannelInstance, powers: PowerBudget):
-        rho_mag = np.abs(instance.noise_corr)
-        if np.any(rho_mag >= NOISE_CORR_LIMIT):
-            raise InvalidParameterError(
-                "cut-set optimization needs |noise_corr| < 1 on every tone")
+        # the broadcast-cut SNR with no correlation spent (t = 0)
+        self.bc_gain = rates.broadcast_cut_snr(
+            instance.g_sd, instance.g_sr, powers.p_src, instance.n_dest,
+            instance.n_relay, 0.0, 0.0, instance.noise_corr)
         super().__init__(instance, powers)
-        u = instance.g_sd / math.sqrt(instance.n_dest)
-        v = instance.g_sr / math.sqrt(instance.n_relay)
-        one_minus_sq = 1.0 - rho_mag ** 2
-        quad = (np.abs(u - np.conj(instance.noise_corr) * v) ** 2
-                + one_minus_sq * np.abs(v) ** 2)
-        self.bc_gain = powers.p_src * quad / one_minus_sq
 
     def _coherent(self, grid, out):
         return grid[0]
@@ -363,43 +366,32 @@ class _Engine:
         return best, converged
 
 
-def _binding(first: float, second: float) -> str:
-    if abs(first - second) <= 1e-9:
-        return "both"
-    return "first" if first < second else "second"
-
-
 def _axis(settings: OptimizerSettings) -> np.ndarray:
     return np.linspace(0.0, 1.0, settings.tone_grid_points)
-
-
-def _solve_full_decode(terms: _PdfTerms, settings: OptimizerSettings):
-    """Max-min over a with the auxiliary coefficient pinned at 1 (full
-    decode at the relay)."""
-    engine = _Engine(terms, [_axis(settings), np.array([1.0])], settings)
-    best, converged = engine.run(corner_points=[(0.0, 1.0), (1.0, 1.0)])
-    return engine, best, converged
 
 
 def optimize_pdf(instance: RelayChannelInstance, powers: PowerBudget,
                  settings: OptimizerSettings | None = None) -> OptimizationResult:
     """Maximize the partial decode-and-forward rate over per-tone split
-    magnitudes with aligned phases."""
+    magnitudes with aligned phases.  The full-decode optimum
+    (optimize_degraded) is one of the candidates and is kept as the
+    result's full_decode."""
     settings = settings or OptimizerSettings()
-    terms = _PdfTerms(instance, powers)
-    sub_engine, sub_best, sub_converged = _solve_full_decode(terms, settings)
-    engine = _Engine(terms, [_axis(settings), _axis(settings)], settings)
+    full = optimize_degraded(instance, powers, settings)
+    engine = _Engine(_PdfTerms(instance, powers),
+                     [_axis(settings), _axis(settings)], settings)
     # corner (0, 0) switches the relay path off entirely; the full-decode
-    # sub-solve covers the opposite corner b = 1
-    best, converged = engine.run(corner_points=[(0.0, 0.0)],
-                                 extra_candidates=[sub_best])
+    # optimum covers the opposite corner b = 1
+    best, converged = engine.run(
+        corner_points=[(0.0, 0.0)],
+        extra_candidates=[_Candidate(full.magnitudes, *full.terms)])
     split = aligned_split(instance, best.points[:, 0], best.points[:, 1])
-    rate = rates.pdf_rate(instance, powers, split)
     return OptimizationResult(
-        split=split, rate=rate, binding_term=_binding(best.first, best.second),
-        iterations=engine.solves + sub_engine.solves,
-        converged=converged and sub_converged, objective="pdf",
-        lambda_trace=engine.trace)
+        split=split, rate=rates.pdf_rate(instance, powers, split),
+        magnitudes=best.points, terms=(best.first, best.second),
+        iterations=engine.solves + full.iterations,
+        converged=converged and full.converged, objective="pdf",
+        lambda_trace=engine.trace, full_decode=full)
 
 
 def optimize_cutset(instance: RelayChannelInstance, powers: PowerBudget,
@@ -412,9 +404,9 @@ def optimize_cutset(instance: RelayChannelInstance, powers: PowerBudget,
     best, converged = engine.run(corner_points=[(0.0,), (1.0,)])
     root = np.sqrt(best.points[:, 0])
     split = aligned_split(instance, root, root)
-    rate = rates.cutset_rate(instance, powers, split)
     return OptimizationResult(
-        split=split, rate=rate, binding_term=_binding(best.first, best.second),
+        split=split, rate=rates.cutset_rate(instance, powers, split),
+        magnitudes=best.points, terms=(best.first, best.second),
         iterations=engine.solves, converged=converged, objective="cutset",
         lambda_trace=engine.trace)
 
@@ -426,12 +418,13 @@ def optimize_degraded(instance: RelayChannelInstance, powers: PowerBudget,
     coefficient is searched.  On a degraded channel this attains
     capacity."""
     settings = settings or OptimizerSettings()
-    terms = _PdfTerms(instance, powers)
-    engine, best, converged = _solve_full_decode(terms, settings)
+    engine = _Engine(_PdfTerms(instance, powers),
+                     [_axis(settings), np.array([1.0])], settings)
+    best, converged = engine.run(corner_points=[(0.0, 1.0), (1.0, 1.0)])
     split = aligned_split(instance, best.points[:, 0], best.points[:, 1])
-    rate = rates.pdf_rate(instance, powers, split)
     return OptimizationResult(
-        split=split, rate=rate, binding_term=_binding(best.first, best.second),
+        split=split, rate=rates.pdf_rate(instance, powers, split),
+        magnitudes=best.points, terms=(best.first, best.second),
         iterations=engine.solves, converged=converged, objective="degraded",
         lambda_trace=engine.trace)
 

@@ -405,15 +405,12 @@ def degraded_capacity_rate(instance: RelayChannelInstance, powers: PowerBudget,
     """Capacity expression of the degraded channel at a fixed cooperative
     coefficient: full decode at the relay (aux_corr magnitude 1), so the
     decode term collapses to the source-to-relay innovation SNR."""
-    relay_corr = _check_disc("relay_corr", _as_complex(relay_corr))
+    relay_corr = _as_complex(relay_corr)
     if relay_corr.size != instance.block_size:
         raise ValueError("relay_corr length must match the instance block size")
-    cross = (2.0 * math.sqrt(powers.p_src * powers.p_rel)
-             * np.real(np.sqrt(relay_corr) * instance.g_sd * np.conj(instance.g_rd)))
-    mac = np.log1p((np.abs(instance.g_sd) ** 2 * powers.p_src
-                    + np.abs(instance.g_rd) ** 2 * powers.p_rel + cross)
-                   / instance.n_dest) / LN2
-    relay_inno = 1.0 - np.abs(relay_corr)
+    mac = cap(mac_cut_snr(instance.g_sd, instance.g_rd, powers.p_src, powers.p_rel,
+                          instance.n_dest, relay_corr, 1.0))
+    relay_inno = 1.0 - np.abs(_check_disc("relay_corr", relay_corr))
     dec = np.log1p(np.abs(instance.g_sr) ** 2 * relay_inno * powers.p_src
                    / instance.n_relay) / LN2
     return min(_tone_mean(mac), _tone_mean(dec))
@@ -422,10 +419,7 @@ def degraded_capacity_rate(instance: RelayChannelInstance, powers: PowerBudget,
 def reversely_degraded_capacity(instance: RelayChannelInstance, p_src: float) -> float:
     """Capacity of the reversely degraded channel: the relay is useless and
     the rate is the plain direct-link average."""
-    if p_src <= 0:
-        raise ValueError("p_src must be > 0")
-    return _tone_mean(np.log1p(np.abs(instance.g_sd) ** 2 * p_src
-                               / instance.n_dest) / LN2)
+    return direct_rate(instance.g_sd, p_src, instance.n_dest)
 
 
 def direct_rate(g_sd, p_src: float, n_dest: float) -> float:

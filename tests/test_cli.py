@@ -199,6 +199,18 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "configuration error" in err
     assert "cutset[rho=0.6]" in err
     assert not (tmp_path / "collide" / "sweep_rho.csv").exists()
+    # PSD levels without a finite, positive integrated power
+    for line in ("experiment.psd_tx_dbm_per_mhz = nan",
+                 "experiment.psd_noise_dbm_per_mhz = inf",
+                 "experiment.psd_tx_dbm_per_mhz = 1e308"):
+        psd = tmp_path / "psd.cfg"
+        psd.write_text(line + "\n")
+        assert _run(["bounds", "--config", str(psd),
+                     "--output-dir", str(tmp_path / "psd")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert line.split()[0].split(".")[1] in err
+        assert not (tmp_path / "psd" / "bounds.csv").exists()
 
 
 def test_negative_seed_override_exits_2(cfg_path, tmp_path, capsys):
@@ -300,6 +312,18 @@ def test_dropped_tap_energy_reported_on_stderr(tmp_path, capsys):
             "uwbrelay: warning: link sd dropped 47% of its path energy beyond 8 taps")
         for path in out.iterdir():
             assert "dropped" not in path.read_text()
+
+
+def test_dropped_tap_energy_reported_when_the_command_fails(tmp_path, capsys):
+    cfg = tmp_path / "truncating.cfg"
+    cfg.write_text(TRUNCATING_CFG)
+    out = tmp_path / "out"
+    (out / "bounds.csv.tmp").mkdir(parents=True)  # the artifact write fails
+    assert _run(["bounds", "--config", str(cfg), "--output-dir", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split()[3] for line in lines[:3]] == ["sd", "sr", "rd"]
+    assert lines[3].startswith("uwbrelay: error:")
+    assert len(lines) == 4
 
 
 def test_default_channel_draw_is_silent(tmp_path, capsys):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from uwbrelay import optimizer
 from uwbrelay.experiments import (
     ExperimentConfig,
     Geometry,
@@ -95,6 +96,21 @@ def test_run_trial_golden_values():
         "cooperative_at_dest", "decode_cut_snr", "fresh_at_dest", "mac_cut_snr"]
     for arr in report.per_tone.values():
         assert arr.shape == (128,)
+
+
+def test_trial_searches_the_full_decode_problem_once(monkeypatch):
+    runs = []
+    engine_run = optimizer._Engine.run
+
+    def counting_run(self, *args, **kwargs):
+        runs.append(self.shape)
+        return engine_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer._Engine, "run", counting_run)
+    report = run_trial(ExperimentConfig(**SMALL), Geometry(3.0, 1.0), 0.5, 0)
+    # full decode, then the (a, b) search seeded with it, then the cut-set
+    assert runs == [(21, 1), (21, 21), (21,)]
+    assert report.df_rate <= report.pdf_rate
 
 
 def test_run_trial_is_deterministic_and_consistent():
@@ -225,6 +241,13 @@ def test_experiment_config_validation():
         ExperimentConfig(d2_grid=(3.5,))
     with pytest.raises(ValueError):
         ExperimentConfig(master_seed=-1)
+    # PSD levels must be finite and integrate to a finite, positive power
+    for name, level in (("psd_tx_dbm_per_mhz", math.nan),
+                        ("psd_noise_dbm_per_mhz", math.inf),
+                        ("psd_tx_dbm_per_mhz", 1e308),      # power overflows
+                        ("psd_noise_dbm_per_mhz", -1e308)):  # power underflows to 0
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: level})
 
 
 def test_draw_link_detail_consistency():
