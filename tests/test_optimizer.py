@@ -257,30 +257,77 @@ def test_product_kernel_equals_explicit_points():
     def axis(rows, size):
         return rng.random((rows, size))
 
-    grid = np.linspace(0.0, 1.0, 21)[None]  # a coarse grid, both ends exact
     cases = [
         (pdf, [axis(1, 7), axis(1, 5)]),            # shared 2-D grid
         (pdf, [axis(6, 7), axis(6, 5)]),            # per-tone 2-D grid
         (pdf, [axis(6, 9), np.ones((6, 1))]),       # pinned auxiliary axis
         (pdf, [axis(1, 9), axis(1, 1)]),            # pinned, shared
-        (pdf, [grid, grid]),                        # shared coarse grid
         (cutset, [axis(1, 11)]),                    # shared 1-D grid
         (cutset, [axis(6, 11)]),                    # per-tone 1-D grid
-        (cutset, [grid]),                           # shared coarse grid
     ]
     for terms, axes in cases:
         got = terms.at(axes, tones)
         want = _explicit_terms(terms, axes, tones)
         written = tuple(np.empty_like(w) for w in want)  # as the coarse table
-        returned = terms.at(axes, tones, out=written)
-        for g, r, o, w in zip(got, returned, written, want):
+        terms.at(axes, tones, out=written)
+        for g, o, w in zip(got, written, want):
             assert g.shape == w.shape
             assert np.array_equal(g, w)
-            assert np.shares_memory(r, o)
             assert np.array_equal(o, w)
     # all tones at once, shared axes
     got = pdf.at([axis(1, 4), axis(1, 3)])
     assert got[0].shape == (12, 12)
+
+
+def _allocating_terms(terms, axes, tones):
+    """The closed forms as plain broadcast expressions on the product grid,
+    one fresh temporary per operation."""
+    d = len(axes)
+    grid = []
+    for i, axis in enumerate(axes):
+        shape = [axis.shape[0]] + [1] * d
+        shape[1 + i] = axis.shape[1]
+        grid.append(axis.reshape(shape))
+
+    def tone(gain):
+        return gain[tones].reshape((-1,) + (1,) * d)
+
+    base, cross = tone(terms.mac_base), tone(terms.mac_cross)
+    if isinstance(terms, optimizer._PdfTerms):
+        a, b = grid
+        sr, sd = tone(terms.sr_gain), tone(terms.sd_gain)
+        first = np.log1p(base + cross * np.sqrt(a * b)) / rates.LN2
+        relay_snr = sr * (1.0 - a) * b / (sr * (1.0 - b) + 1.0)
+        second = (np.log1p(relay_snr) + np.log1p(sd * (1.0 - b))) / rates.LN2
+    else:
+        (t,) = grid
+        first = np.log1p(base + cross * np.sqrt(t)) / rates.LN2
+        second = np.log1p(tone(terms.bc_gain) * (1.0 - t)) / rates.LN2
+    rows = len(base)
+    return first.reshape(rows, -1), second.reshape(rows, -1)
+
+
+def test_in_place_terms_equal_allocating_terms():
+    rng = np.random.default_rng(37)
+    instance, powers = random_instance(10, rng)
+    pdf = optimizer._PdfTerms(instance, powers)
+    cutset = optimizer._CutsetTerms(instance, powers)
+    grid = np.linspace(0.0, 1.0, 21)[None]
+    tones = slice(2, 9)
+    cases = [
+        (pdf, [grid, grid]),                                   # shared
+        (pdf, [rng.random((7, 21)), rng.random((7, 13))]),     # per tone
+        (pdf, [rng.random((7, 21)), np.ones((7, 1))]),         # pinned
+        (cutset, [grid]),                                      # shared
+        (cutset, [rng.random((7, 17))]),                       # per tone
+    ]
+    for terms, axes in cases:
+        want = _allocating_terms(terms, axes, tones)
+        out = tuple(np.empty_like(w) for w in want)
+        got = terms.at(axes, tones, out=out)
+        for g, o, w in zip(got, out, want):
+            assert np.shares_memory(g, o)
+            assert np.array_equal(o, w)
 
 
 def _block128_instance():
