@@ -7,8 +7,8 @@ The package is organized bottom-up:
 * rates: closed-form per-tone SNR expressions and the rate bounds they
   imply (achievable partial decode-and-forward, cut-set upper bound,
   degraded-channel capacities, direct transmission);
-* optimizer: max-min search over the per-tone split parameters, plus an
-  exhaustive-grid oracle for small blocks;
+* optimizer: exact max-min solve over the per-tone split parameters,
+  plus an exhaustive-grid oracle for small blocks;
 * experiments: seeded Monte Carlo sweeps over geometry and noise
   correlation;
 * configfile / svgplot / cli: configuration parsing, deterministic SVG

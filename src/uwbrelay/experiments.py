@@ -203,9 +203,10 @@ def build_instance(config: ExperimentConfig, geometry: Geometry, rho: float,
 def _cutset_with_product_candidate(instance, powers, settings, pdf_result):
     """Cut-set optimum, additionally evaluated at the product profile of
     the achievable optimum.  The extra point is feasible for the same
-    maximization and dominates the achievable value term by term, so the
-    reported upper bound can never dip below the achievable rate through
-    discretization alone."""
+    maximization and dominates the achievable value term by term.  Both
+    optima are exact, so the extra point only catches rounding: the two
+    bounds are scored through different closed forms, and the cut-set
+    can land an ulp below the achievable rate."""
     cut = optimize_cutset(instance, powers, settings)
     product = np.abs(pdf_result.split.relay_corr) * np.abs(pdf_result.split.aux_corr)
     root = np.sqrt(product)

@@ -1,27 +1,32 @@
 """Split-parameter optimization for the relay-channel rate bounds.
 
-Both bounds are max-min problems over per-tone split magnitudes: maximize
+Every bound is a max-min problem over per-tone split magnitudes: maximize
 the worse of two tone-averaged terms.  Phases are handled analytically
-(align_phases), so the search runs over real magnitudes in [0, 1] per
-tone:
+(align_phases), so only magnitudes in [0, 1] remain, and with
+s_i = sqrt(a_i * b_i) all three bounds are one problem
 
-* partial decode-and-forward: (a_i, b_i) = (|relay_corr_i|, |aux_corr_i|),
-  terms mac / decode;
-* cut-set: only the product t_i = a_i * b_i matters, terms mac /
-  broadcast, searched in one dimension;
-* degraded restriction: b_i = 1 fixed, searched over a_i.
+    max over s in [0, 1]^K of min(F1(s), F2(s)),
+    F1 = mean log2(1 + B + C*s),   F2 = mean log2(1 + M*(1 - s^2)),
 
-The engine scalarizes with a weight lam in [0, 1]: for fixed lam the
-weighted sum separates across tones and the per-tone maximizer is found
-on a grid plus local refinement.  An outer bisection drives the weighted
-solution toward equal terms, every iterate is kept as a candidate, and a
-few corner profiles with known analytic roles are always evaluated so
-grid placement cannot miss them.  Exactness is certified empirically
-against brute_force_oracle, never assumed.
+with the multiple-access scalars B, C of _TermsBase and a per-tone gain M:
 
-Deterministic tie-breaking: grids are enumerated in ascending
-lexicographic order and argmax takes the first maximizer, so among equal
-objectives the smallest (a_i, then b_i) wins.
+* decode-and-forward (full decode, b = 1): M = sr, split (a, b) = (s^2, 1);
+* partial decode-and-forward: M = max(sr, sd).  At a fixed t = a*b the
+  decode term is log(1 + sr*(1 - t)) plus a bracket in b that is monotone
+  and 0 at b = 1, so the best b is 1 when sr >= sd and t when sd > sr:
+  split (t, 1) or (1, t), and (0, 0) at t = 0 when sd > sr;
+* cut-set: M is the broadcast-cut gain bc, split (s, s).
+
+Both terms are concave in s.  For a weight lam the weighted sum
+lam*F1 + (1 - lam)*F2 separates across tones, and its per-tone maximizer
+is the nonnegative root of a quadratic, clipped to [0, 1].  A bisection
+on lam brackets the weight where the terms cross; a second bisection
+equalizes the terms on the segment between the two bracketing solutions,
+and the best point evaluated wins.  Concavity closes the duality gap
+(minimax theorem), so every weighted value is an upper bound on the
+optimum and OptimizationResult.dual_gap certifies the answer.
+brute_force_oracle searches the original (a, b) grid exhaustively as an
+independent check.
 """
 
 from __future__ import annotations
@@ -37,12 +42,13 @@ from .rates import PowerBudget, RelayChannelInstance, SplitParams, LN2
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Search controls.  The defaults (101-point tone grids, three
-    tenfold refinement rounds, 1e-6 weight bisection) meet the 2e-3 bit
-    oracle tolerance."""
+    """Controls of the bisections.  Both the weight bisection and the
+    equalizing segment bisection stop at a width of lambda_tolerance or
+    after max_lambda_iters probes.  tone_grid_points and refine_steps are
+    validated but unused: the solve is exact and searches no grid."""
 
     tone_grid_points: int = 101
-    lambda_tolerance: float = 1e-6
+    lambda_tolerance: float = 1e-9
     max_lambda_iters: int = 60
     refine_steps: int = 3
 
@@ -60,9 +66,11 @@ class OptimizerSettings:
 @dataclass
 class OptimizationResult:
     """Solution of one bound optimization.  rate is the rates-module
-    evaluation of split; magnitudes (k, d) and the tone-averaged terms
-    (first = multiple-access, second = decode or broadcast) are the search
-    optimum; converged is False only when the weight bisection hit its
+    evaluation of split; magnitudes (the per-tone s = sqrt(a*b)) and the
+    tone-averaged terms (first = multiple-access, second = decode or
+    broadcast) are the solver's optimum; lambda_trace holds
+    (lam, first, second) of every weighted solve and iterations counts
+    them; converged is False only when the weight bisection hit its
     iteration cap; full_decode is the degraded optimum of a pdf search."""
 
     split: SplitParams
@@ -82,6 +90,17 @@ class OptimizationResult:
         if abs(first - second) <= 1e-9:
             return "both"
         return "first" if first < second else "second"
+
+    @property
+    def dual_gap(self) -> float:
+        """Certified distance to the optimum, in bits: every weighted value
+        lam*first + (1 - lam)*second of lambda_trace bounds the max-min
+        value from above, so the smallest one minus min(terms) does.  The
+        exact difference is never negative; rounding both sides can make
+        it read a few ulps below 0, which is reported as 0."""
+        upper = min(lam * first + (1.0 - lam) * second
+                    for lam, first, second in self.lambda_trace)
+        return max(0.0, upper - min(self.terms))
 
 
 def align_phases(instance: RelayChannelInstance) -> np.ndarray:
@@ -108,20 +127,11 @@ def aligned_split(instance: RelayChannelInstance, relay_mag, aux_mag) -> SplitPa
     return SplitParams(relay_mag * rotor, aux_mag * rotor)
 
 
-# Coarse-table entries (tones x grid points) per tone block: the engine
-# builds and scores one block at a time so its working set stays
-# cache-sized.  2^18 and 2^19 run no faster and keep larger score buffers.
-_BLOCK_ENTRIES = 1 << 17
-# Consecutive blocks per chunk, the unit of tone work refined at once:
-# about 100 tones at a 101-point grid, enough for numpy's inner loops to
-# outweigh the interpreter in the refinement.
-_CHUNK_BLOCKS = 8
-
-
 class _TermsBase:
-    """Per-tone evaluation of the two competing terms (bits per tone) on
-    tensor-product grids.  The first (multiple-access) term is shared;
-    subclasses supply its coherent fraction and the second term.
+    """Per-tone scalars of the two competing terms, and their evaluation
+    (bits per tone) on tensor-product grids for brute_force_oracle.  The
+    first (multiple-access) term is shared; subclasses supply its coherent
+    fraction and the second term.
 
     Broadcasting computes a factor that depends on one axis only once per
     axis value, while every grid point still sees the same float
@@ -221,212 +231,138 @@ class _CutsetTerms(_TermsBase):
         return np.log1p(out, out=out)
 
 
-@dataclass
-class _Candidate:
-    points: np.ndarray  # (K, d) split magnitudes
-    first: float
-    second: float
-
-    @property
-    def value(self) -> float:
-        return min(self.first, self.second)
-
-
-def _score(lam, first, second, scratch=(None, None)):
-    """Weighted scalarization at weight lam, or the pointwise minimum of
-    the two terms when lam is None.  scratch optionally holds two arrays
-    shaped like the terms; the score is written into the first."""
-    out, spare = scratch
-    if lam is None:
-        return np.minimum(first, second, out=out)
-    score = np.multiply(first, lam, out=out)
-    score += np.multiply(second, 1.0 - lam, out=spare)
-    return score
-
-
-class _Engine:
-    """Shared max-min machinery (see module docstring)."""
-
-    def __init__(self, terms: _TermsBase, axes, settings: OptimizerSettings):
-        self.terms = terms
-        self.axes = [np.asarray(ax, dtype=float) for ax in axes]
-        self.settings = settings
-        self.shape = tuple(ax.size for ax in self.axes)
-        k = terms.block_size
-        size = math.prod(self.shape)
-        step = max(1, _BLOCK_ENTRIES // size)
-        self.blocks = [slice(start, min(start + step, k))
-                       for start in range(0, k, step)]
-        self.chunks = [self.blocks[i:i + _CHUNK_BLOCKS]
-                       for i in range(0, len(self.blocks), _CHUNK_BLOCKS)]
-        self.coarse_first = np.empty((k, size))
-        self.coarse_second = np.empty((k, size))
-        shared = [ax[None] for ax in self.axes]
-        for tones in self.blocks:
-            terms.at(shared, tones,
-                     out=(self.coarse_first[tones], self.coarse_second[tones]))
-        # reused by every coarse scoring pass instead of fresh block-sized
-        # temporaries, which would be page-faulted in again on each pass
-        self.scratch = tuple(np.empty((min(step, k), size)) for _ in range(2))
-        # per refinement round and axis: 21 offsets spanning +/- one parent
-        # step at a tenth of it; fixed (singleton) axes stay put
-        self.offsets = []
-        scale = 1.0
-        for _ in range(settings.refine_steps):
-            scale /= 10.0
-            self.offsets.append([
-                np.arange(-10, 11, dtype=float)
-                * ((ax[-1] - ax[0]) / (ax.size - 1) * scale)
-                if ax.size > 1 else np.zeros(1) for ax in self.axes])
-        self.trace = []
-        self.solves = 0
-
-    def _solve(self, lam: float | None) -> _Candidate:
-        """Per-tone maximizer of _score on the grid, scored one tone block
-        at a time, then refined locally one chunk at a time.  lam=None maximizes the pointwise
-        minimum on every tone separately: for a single tone that is the
-        max-min problem itself, so the weighted scalarization cannot lose
-        to its own duality gap there; for longer blocks it is one more
-        profile worth trying.  Only weighted solves enter the lambda
-        trace."""
-        self.solves += 1
-        pts = np.empty((self.terms.block_size, len(self.axes)))
-        for chunk in self.chunks:
-            idx = []
-            for block in chunk:
-                first = self.coarse_first[block]
-                second = self.coarse_second[block]
-                scratch = [buf[:len(first)] for buf in self.scratch]
-                idx.append(np.argmax(_score(lam, first, second, scratch),
-                                     axis=1))  # first max = smallest grid point
-            idx = np.concatenate(idx)
-            best = [ax[i] for ax, i in
-                    zip(self.axes, np.unravel_index(idx, self.shape))]
-            tones = slice(chunk[0].start, chunk[-1].stop)
-            rows = np.arange(idx.size)
-            for offsets in self.offsets:
-                cand = [np.clip(p[:, None] + off, 0.0, 1.0)
-                        for p, off in zip(best, offsets)]
-                j = np.argmax(_score(lam, *self.terms.at(cand, tones)), axis=1)
-                j = np.unravel_index(j, tuple(off.size for off in offsets))
-                best = [c[rows, i] for c, i in zip(cand, j)]
-            pts[tones] = np.stack(best, axis=-1)
-        cand = self._evaluate(pts)
-        if lam is not None:
-            self.trace.append((lam, cand.first, cand.second))
-        return cand
-
-    def _evaluate(self, pts: np.ndarray) -> _Candidate:
-        c1, c2 = self.terms.at([pts[:, i:i + 1] for i in range(pts.shape[1])])
-        return _Candidate(pts, float(c1.mean()), float(c2.mean()))
-
-    def run(self, corner_points, extra_candidates=()):
-        """corner_points: constant magnitude profiles always evaluated;
-        extra_candidates: pre-solved _Candidate objects (sub-problems).
-        Candidates are scanned in order, strict improvement wins, so the
-        earliest entry takes any tie."""
-        k = self.terms.block_size
-        d = len(self.axes)
-        candidates = [self._evaluate(np.tile(np.asarray(p, dtype=float), (k, 1)))
-                      for p in corner_points]
-        candidates.append(self._solve(None))
-        candidates.extend(extra_candidates)
-
-        low_sol = self._solve(0.0)
-        high_sol = self._solve(1.0)
-        converged = True
-        if low_sol.first - low_sol.second >= 0.0:
-            # even the pure second-term maximizer leaves the first term
-            # slack, so it is optimal on its own
-            candidates.extend([low_sol, high_sol])
-        elif high_sol.first - high_sol.second <= 0.0:
-            candidates.extend([high_sol, low_sol])
+def _bisect(gap, settings: OptimizerSettings):
+    """Halve [0, 1] toward the sign change of gap, which is nondecreasing,
+    <= 0 at 0 and > 0 at 1, until the bracket is at most lambda_tolerance
+    wide or max_lambda_iters probes were made.  Returns the final bracket
+    (lo, hi) and whether the width was reached."""
+    lo, hi = 0.0, 1.0
+    for _ in range(settings.max_lambda_iters):
+        if hi - lo <= settings.lambda_tolerance:
+            break
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0.0:
+            hi = mid
         else:
-            candidates.extend([low_sol, high_sol])
-            lo, hi = 0.0, 1.0
-            iters = 0
-            while hi - lo > self.settings.lambda_tolerance:
-                if iters >= self.settings.max_lambda_iters:
-                    converged = False
-                    break
-                mid = 0.5 * (lo + hi)
-                sol = self._solve(mid)
-                candidates.append(sol)
-                if sol.first - sol.second > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-                iters += 1
-
-        best = candidates[0]
-        for cand in candidates[1:]:
-            if cand.value > best.value:
-                best = cand
-        assert best.points.shape == (k, d)
-        return best, converged
+            lo = mid
+    return lo, hi, hi - lo <= settings.lambda_tolerance
 
 
-def _axis(settings: OptimizerSettings) -> np.ndarray:
-    return np.linspace(0.0, 1.0, settings.tone_grid_points)
+def _weighted_maximizer(lam, base, cross, gain):
+    """Per-tone maximizer over [0, 1] of lam*F1 + (1 - lam)*F2.  Both terms
+    are concave in s, so it is the nonnegative root of the stationarity
+    quadratic (2 - lam)*C*M*s^2 + 2*(1 - lam)*M*(1 + B)*s = lam*C*(1 + M),
+    in cancellation-free form, clipped to 1.  A zero denominator leaves
+    only the linear pull of F1: s = 1 where it is positive, else 0."""
+    lin = 2.0 * (1.0 - lam) * gain * (1.0 + base)
+    quad = (2.0 - lam) * cross * gain
+    const = lam * cross * (1.0 + gain)
+    den = lin + np.sqrt(lin * lin + 4.0 * quad * const)
+    s = np.divide(2.0 * const, den, out=(const > 0.0).astype(float),
+                  where=den > 0.0)
+    return np.minimum(s, 1.0)
+
+
+def _max_min(terms: _TermsBase, gain: np.ndarray, settings: OptimizerSettings):
+    """Exact max over s in [0, 1]^K of min(F1, F2) (see module docstring)
+    for the multiple-access scalars of `terms` and the per-tone gain M.
+    Returns (s, (F1, F2), lambda_trace, converged) for the best point
+    evaluated; converged is False when the weight bisection hit its
+    iteration cap."""
+    base, cross = terms.mac_base, terms.mac_cross
+    trace = []
+    best = []
+    solutions = {}
+
+    def evaluate(s):
+        value = (float(np.mean(np.log1p(base + cross * s))) / LN2,
+                 float(np.mean(np.log1p(gain * (1.0 - s * s)))) / LN2)
+        if not best or min(value) > min(best[1]):  # earliest point takes ties
+            best[:] = s, value
+        return value
+
+    def weighted(lam):
+        s = solutions[lam] = _weighted_maximizer(lam, base, cross, gain)
+        first, second = evaluate(s)
+        trace.append((lam, first, second))
+        return first - second
+
+    low_gap, high_gap = weighted(0.0), weighted(1.0)
+    converged = True
+    # otherwise the pure F2 maximizer leaves F1 slack, or the pure F1
+    # maximizer leaves F2 slack, and is optimal on its own
+    if low_gap < 0.0 < high_gap:
+        lo, hi, converged = _bisect(weighted, settings)
+        # s rises with lam on every tone, so F1 - F2 rises along the segment
+        # between the bracketing solutions: equalize the terms on it
+        low = solutions[lo]
+        step = solutions[hi] - low
+
+        def along(theta):
+            first, second = evaluate(low + theta * step)
+            return first - second
+
+        _bisect(along, settings)
+    return best[0], best[1], trace, converged
+
+
+def _result(rate, instance, powers, objective, solved, relay_mag, aux_mag,
+            full_decode=None) -> OptimizationResult:
+    """The result of a _max_min solve mapped back to the split with the
+    given magnitudes; rate is the rates-module function that scores it."""
+    s, terms, trace, converged = solved
+    split = aligned_split(instance, relay_mag, aux_mag)
+    iterations = len(trace)
+    if full_decode is not None:
+        iterations += full_decode.iterations
+        converged = converged and full_decode.converged
+    return OptimizationResult(
+        split=split, rate=rate(instance, powers, split), magnitudes=s,
+        terms=terms, iterations=iterations, converged=converged, objective=objective,
+        lambda_trace=trace, full_decode=full_decode)
 
 
 def optimize_pdf(instance: RelayChannelInstance, powers: PowerBudget,
                  settings: OptimizerSettings | None = None) -> OptimizationResult:
     """Maximize the partial decode-and-forward rate over per-tone split
-    magnitudes with aligned phases.  The full-decode optimum
-    (optimize_degraded) is one of the candidates and is kept as the
-    result's full_decode."""
+    magnitudes with aligned phases.  Per tone the split is
+    (a, b) = (t, 1) where the source-relay gain is at least the direct
+    one, and (1, t), or (0, 0) at t = 0, where it is weaker (see the
+    module docstring).  The full-decode optimum (optimize_degraded) is
+    returned as full_decode."""
     settings = settings or OptimizerSettings()
     full = optimize_degraded(instance, powers, settings)
-    engine = _Engine(_PdfTerms(instance, powers),
-                     [_axis(settings), _axis(settings)], settings)
-    # corner (0, 0) switches the relay path off entirely; the full-decode
-    # optimum covers the opposite corner b = 1
-    best, converged = engine.run(
-        corner_points=[(0.0, 0.0)],
-        extra_candidates=[_Candidate(full.magnitudes, *full.terms)])
-    split = aligned_split(instance, best.points[:, 0], best.points[:, 1])
-    return OptimizationResult(
-        split=split, rate=rates.pdf_rate(instance, powers, split),
-        magnitudes=best.points, terms=(best.first, best.second),
-        iterations=engine.solves + full.iterations,
-        converged=converged and full.converged, objective="pdf",
-        lambda_trace=engine.trace, full_decode=full)
+    terms = _PdfTerms(instance, powers)
+    solved = _max_min(terms, np.maximum(terms.sr_gain, terms.sd_gain), settings)
+    t = solved[0] ** 2
+    relay_first = terms.sr_gain >= terms.sd_gain
+    return _result(rates.pdf_rate, instance, powers, "pdf", solved,
+                   np.where(relay_first, t, t > 0.0),
+                   np.where(relay_first, 1.0, t), full_decode=full)
 
 
 def optimize_cutset(instance: RelayChannelInstance, powers: PowerBudget,
                     settings: OptimizerSettings | None = None) -> OptimizationResult:
     """Maximize the cut-set upper bound over the per-tone correlation
-    product, reported as a split with equal magnitudes sqrt(t)."""
+    product t, reported as a split with equal magnitudes s = sqrt(t)."""
     settings = settings or OptimizerSettings()
     terms = _CutsetTerms(instance, powers)
-    engine = _Engine(terms, [_axis(settings)], settings)
-    best, converged = engine.run(corner_points=[(0.0,), (1.0,)])
-    root = np.sqrt(best.points[:, 0])
-    split = aligned_split(instance, root, root)
-    return OptimizationResult(
-        split=split, rate=rates.cutset_rate(instance, powers, split),
-        magnitudes=best.points, terms=(best.first, best.second),
-        iterations=engine.solves, converged=converged, objective="cutset",
-        lambda_trace=engine.trace)
+    solved = _max_min(terms, terms.bc_gain, settings)
+    return _result(rates.cutset_rate, instance, powers, "cutset", solved,
+                   solved[0], solved[0])
 
 
 def optimize_degraded(instance: RelayChannelInstance, powers: PowerBudget,
                       settings: OptimizerSettings | None = None) -> OptimizationResult:
     """Maximize the full-decode (decode-and-forward) rate: the auxiliary
     coefficient magnitude is fixed at 1 and only the cooperative
-    coefficient is searched.  On a degraded channel this attains
+    coefficient is solved for.  On a degraded channel this attains
     capacity."""
     settings = settings or OptimizerSettings()
-    engine = _Engine(_PdfTerms(instance, powers),
-                     [_axis(settings), np.array([1.0])], settings)
-    best, converged = engine.run(corner_points=[(0.0, 1.0), (1.0, 1.0)])
-    split = aligned_split(instance, best.points[:, 0], best.points[:, 1])
-    return OptimizationResult(
-        split=split, rate=rates.pdf_rate(instance, powers, split),
-        magnitudes=best.points, terms=(best.first, best.second),
-        iterations=engine.solves, converged=converged, objective="degraded",
-        lambda_trace=engine.trace)
+    terms = _PdfTerms(instance, powers)
+    solved = _max_min(terms, terms.sr_gain, settings)
+    return _result(rates.pdf_rate, instance, powers, "degraded", solved,
+                   solved[0] ** 2, 1.0)
 
 
 def brute_force_oracle(instance: RelayChannelInstance, powers: PowerBudget,

@@ -265,11 +265,11 @@ optimizer.tone_grid_points = 41
 PINNED_SHA256 = {
     "channel_taps.csv": "78a8f22f15e05fd881a61cfb643f0a20b48103898b6a7703c2d7f58dae73f7d0",
     "channel_response.csv": "840c58583e58debc1d3890969b703a9861b5ad5a8dc404c55643a4196b59b26d",
-    "bounds.csv": "ea3d81e0baa2c83c75ef194b39a105abcfa1a5c3816a41463ae639c9676d0b05",
-    "bounds_per_tone.csv": "9aaf808714132c8cd4f459be39a68e58d095e98adc2f61dc59b62d1c83855be8",
-    "sweep_distance.csv": "43bbbfcef190e1a93699e43e365f8eccf1c6e75ba4a5dfe2519ac463e3a3213a",
-    "sweep_distance.svg": "bf6bde79b204c1ded3dab17e574910ac29844000487527857c105bd1bd02bea2",
-    "sweep_rho.csv": "acb6c77a7f0a24af4717bb6b8455d35ae3a596d07b19cfe626b71b194f43c1ff",
+    "bounds.csv": "397ee6e366e1ef882bb771d964e51b1a1c8482d8d2e9a3037548dcb5daaf6b0e",
+    "bounds_per_tone.csv": "e282fc58df7a77af0e1ed11886aec9008264af53d5f53043cbba9966a699dbd4",
+    "sweep_distance.csv": "3316667a41c4b55a6c0ebff920d53d0c013a096c3b12094221665487fb913f67",
+    "sweep_distance.svg": "07581cabdafb9ab48375aba664bb45feefd0856fed39ca4c0809ac16823a43b4",
+    "sweep_rho.csv": "89007843edbf933562f31d918fd6ed06996c5d92667fc61afc50f911a2086e96",
     "sweep_rho.svg": "dd4869be9988b5d6d5467eadaa78aabd20376570cbd535fa509a13302db38ed0",
 }
 

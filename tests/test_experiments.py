@@ -99,17 +99,17 @@ def test_run_trial_golden_values():
 
 
 def test_trial_searches_the_full_decode_problem_once(monkeypatch):
-    runs = []
-    engine_run = optimizer._Engine.run
+    calls = []
+    degraded = optimizer.optimize_degraded
 
-    def counting_run(self, *args, **kwargs):
-        runs.append(self.shape)
-        return engine_run(self, *args, **kwargs)
+    def counting_degraded(*args, **kwargs):
+        calls.append(1)
+        return degraded(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer._Engine, "run", counting_run)
+    monkeypatch.setattr(optimizer, "optimize_degraded", counting_degraded)
     report = run_trial(ExperimentConfig(**SMALL), Geometry(3.0, 1.0), 0.5, 0)
-    # full decode, then the (a, b) search seeded with it, then the cut-set
-    assert runs == [(21, 1), (21, 21), (21,)]
+    # optimize_pdf's own full-decode solve is the trial's df bound
+    assert len(calls) == 1
     assert report.df_rate <= report.pdf_rate
 
 
