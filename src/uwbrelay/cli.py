@@ -156,12 +156,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
     if args.per_tone:
         names = list(report.per_tone)
+        columns = [report.per_tone[n].tolist() for n in names]
         tone_lines = ["tone," + ",".join(names)]
-        block = len(report.per_tone[names[0]])
-        for i in range(block):
-            cells = [str(i)]
-            cells.extend(repr(float(report.per_tone[n][i])) for n in names)
-            tone_lines.append(",".join(cells))
+        tone_lines.extend(",".join(map(repr, (i, *row)))
+                          for i, row in enumerate(zip(*columns)))
         tone_path = os.path.join(args.output_dir, "bounds_per_tone.csv")
         _atomic_write(tone_path, "\n".join(tone_lines) + "\n")
         outputs.append(os.path.basename(tone_path))

@@ -8,14 +8,15 @@ s_i = sqrt(a_i * b_i) all three bounds are one problem
     max over s in [0, 1]^K of min(F1(s), F2(s)),
     F1 = mean log2(1 + B + C*s),   F2 = mean log2(1 + M*(1 - s^2)),
 
-with the multiple-access scalars B, C of _TermsBase and a per-tone gain M:
+with the per-tone multiple-access scalars B, C and decode gains sr, sd
+of _tones and a per-tone gain M:
 
 * decode-and-forward (full decode, b = 1): M = sr, split (a, b) = (s^2, 1);
 * partial decode-and-forward: M = max(sr, sd).  At a fixed t = a*b the
   decode term is log(1 + sr*(1 - t)) plus a bracket in b that is monotone
   and 0 at b = 1, so the best b is 1 when sr >= sd and t when sd > sr:
   split (t, 1) or (1, t), and (0, 0) at t = 0 when sd > sr;
-* cut-set: M is the broadcast-cut gain bc, split (s, s).
+* cut-set: M is the broadcast-cut gain bc of _broadcast_gain, split (s, s).
 
 Both terms are concave in s.  For a weight lam the weighted sum
 lam*F1 + (1 - lam)*F2 separates across tones, and its per-tone maximizer
@@ -26,13 +27,14 @@ and the best point evaluated wins.  Concavity closes the duality gap
 (minimax theorem), so every weighted value is an upper bound on the
 optimum and OptimizationResult.dual_gap certifies the answer.
 brute_force_oracle searches the original (a, b) grid exhaustively as an
-independent check.
+independent check, with the plain real closed forms of both terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,108 +129,34 @@ def aligned_split(instance: RelayChannelInstance, relay_mag, aux_mag) -> SplitPa
     return SplitParams(relay_mag * rotor, aux_mag * rotor)
 
 
-class _TermsBase:
-    """Per-tone scalars of the two competing terms, and their evaluation
-    (bits per tone) on tensor-product grids for brute_force_oracle.  The
-    first (multiple-access) term is shared; subclasses supply its coherent
-    fraction and the second term.
+class _Tones(NamedTuple):
+    """Per-tone scalars of the one-dimensional problem: the multiple-access
+    base B and coherent cross gain C, and the decode gains at the relay
+    (sr) and at the destination (sd)."""
 
-    Broadcasting computes a factor that depends on one axis only once per
-    axis value, while every grid point still sees the same float
-    operations in the same order as a pointwise evaluation."""
-
-    def __init__(self, instance: RelayChannelInstance, powers: PowerBudget):
-        self.block_size = instance.block_size
-        sd_pow = np.abs(instance.g_sd) ** 2 * powers.p_src
-        rd_pow = np.abs(instance.g_rd) ** 2 * powers.p_rel
-        self.mac_base = (sd_pow + rd_pow) / instance.n_dest
-        self.mac_cross = (2.0 * math.sqrt(powers.p_src * powers.p_rel)
-                          * np.abs(instance.g_sd) * np.abs(instance.g_rd)
-                          / instance.n_dest)
-
-    def at(self, axes, tones=slice(None), out=(None, None)):
-        """Terms on the product of the search axes for the selected tones.
-        Each axis is (1, n_i), shared across tones, or (tones, n_i), one
-        row per tone.  Returns (first_term, second_term), each
-        (tones, n_1 * ... * n_d) in lexicographic grid order, written into
-        the arrays of `out` when given.
-
-        Each term is built in its output array by a chain of in-place
-        ufuncs with the operations and operand order of the plain
-        expression, so no full-size temporary is made."""
-        d = len(axes)
-        grid = []
-        for i, axis in enumerate(axes):
-            shape = [axis.shape[0]] + [1] * d
-            shape[1 + i] = axis.shape[1]
-            grid.append(axis.reshape(shape))
-
-        def tone(gain):
-            return gain[tones].reshape((-1,) + (1,) * d)
-
-        base = tone(self.mac_base)
-        full = (len(base),) + tuple(axis.shape[1] for axis in axes)
-        first, second = (np.empty(full) if o is None else o.reshape(full)
-                         for o in out)
-        # log1p(base + cross * sqrt(coherent)) / LN2
-        np.sqrt(self._coherent(grid, first), out=first)
-        np.multiply(tone(self.mac_cross), first, out=first)
-        np.add(base, first, out=first)
-        np.log1p(first, out=first)
-        np.divide(first, LN2, out=first)
-        np.divide(self._second_nats(grid, tone, second), LN2, out=second)
-        return first.reshape(len(base), -1), second.reshape(len(base), -1)
-
-    def _coherent(self, grid, out):
-        """The coherent fraction, written into out or returned unchanged
-        when it is an axis itself."""
-        raise NotImplementedError
-
-    def _second_nats(self, grid, tone, out):
-        """The second term in nats, written into out."""
-        raise NotImplementedError
+    base: np.ndarray
+    cross: np.ndarray
+    sr: np.ndarray
+    sd: np.ndarray
 
 
-class _PdfTerms(_TermsBase):
-    """Terms of the partial decode-and-forward problem over (a, b)."""
-
-    def __init__(self, instance: RelayChannelInstance, powers: PowerBudget):
-        super().__init__(instance, powers)
-        self.sr_gain = np.abs(instance.g_sr) ** 2 * powers.p_src / instance.n_relay
-        self.sd_gain = np.abs(instance.g_sd) ** 2 * powers.p_src / instance.n_dest
-
-    def _coherent(self, grid, out):
-        a, b = grid
-        return np.multiply(a, b, out=out)
-
-    def _second_nats(self, grid, tone, out):
-        # log1p(sr * (1 - a) * b / (sr * (1 - b) + 1)) + log1p(sd * (1 - b))
-        a, b = grid
-        sr = tone(self.sr_gain)
-        sd = tone(self.sd_gain)
-        np.multiply(sr * (1.0 - a), b, out=out)
-        np.divide(out, sr * (1.0 - b) + 1.0, out=out)
-        np.log1p(out, out=out)
-        return np.add(out, np.log1p(sd * (1.0 - b)), out=out)
+def _tones(instance: RelayChannelInstance, powers: PowerBudget) -> _Tones:
+    sd_pow = np.abs(instance.g_sd) ** 2 * powers.p_src
+    rd_pow = np.abs(instance.g_rd) ** 2 * powers.p_rel
+    return _Tones(
+        base=(sd_pow + rd_pow) / instance.n_dest,
+        cross=(2.0 * math.sqrt(powers.p_src * powers.p_rel)
+               * np.abs(instance.g_sd) * np.abs(instance.g_rd) / instance.n_dest),
+        sr=np.abs(instance.g_sr) ** 2 * powers.p_src / instance.n_relay,
+        sd=sd_pow / instance.n_dest)
 
 
-class _CutsetTerms(_TermsBase):
-    """Terms of the cut-set problem over the product t = a * b."""
-
-    def __init__(self, instance: RelayChannelInstance, powers: PowerBudget):
-        # the broadcast-cut SNR with no correlation spent (t = 0)
-        self.bc_gain = rates.broadcast_cut_snr(
-            instance.g_sd, instance.g_sr, powers.p_src, instance.n_dest,
-            instance.n_relay, 0.0, 0.0, instance.noise_corr)
-        super().__init__(instance, powers)
-
-    def _coherent(self, grid, out):
-        return grid[0]
-
-    def _second_nats(self, grid, tone, out):
-        # log1p(bc * (1 - t))
-        np.multiply(tone(self.bc_gain), 1.0 - grid[0], out=out)
-        return np.log1p(out, out=out)
+def _broadcast_gain(instance: RelayChannelInstance, powers: PowerBudget):
+    """The cut-set gain bc: the broadcast-cut SNR with no correlation spent
+    (t = 0).  Only the cut-set computes it, because it needs |rho| < 1."""
+    return rates.broadcast_cut_snr(
+        instance.g_sd, instance.g_sr, powers.p_src, instance.n_dest,
+        instance.n_relay, 0.0, 0.0, instance.noise_corr)
 
 
 def _bisect(gap, settings: OptimizerSettings):
@@ -263,13 +191,13 @@ def _weighted_maximizer(lam, base, cross, gain):
     return np.minimum(s, 1.0)
 
 
-def _max_min(terms: _TermsBase, gain: np.ndarray, settings: OptimizerSettings):
+def _max_min(tones: _Tones, gain: np.ndarray, settings: OptimizerSettings):
     """Exact max over s in [0, 1]^K of min(F1, F2) (see module docstring)
-    for the multiple-access scalars of `terms` and the per-tone gain M.
+    for the multiple-access scalars of `tones` and the per-tone gain M.
     Returns (s, (F1, F2), lambda_trace, converged) for the best point
     evaluated; converged is False when the weight bisection hit its
     iteration cap."""
-    base, cross = terms.mac_base, terms.mac_cross
+    base, cross = tones.base, tones.cross
     trace = []
     best = []
     solutions = {}
@@ -332,10 +260,10 @@ def optimize_pdf(instance: RelayChannelInstance, powers: PowerBudget,
     returned as full_decode."""
     settings = settings or OptimizerSettings()
     full = optimize_degraded(instance, powers, settings)
-    terms = _PdfTerms(instance, powers)
-    solved = _max_min(terms, np.maximum(terms.sr_gain, terms.sd_gain), settings)
+    tones = _tones(instance, powers)
+    solved = _max_min(tones, np.maximum(tones.sr, tones.sd), settings)
     t = solved[0] ** 2
-    relay_first = terms.sr_gain >= terms.sd_gain
+    relay_first = tones.sr >= tones.sd
     return _result(rates.pdf_rate, instance, powers, "pdf", solved,
                    np.where(relay_first, t, t > 0.0),
                    np.where(relay_first, 1.0, t), full_decode=full)
@@ -346,8 +274,8 @@ def optimize_cutset(instance: RelayChannelInstance, powers: PowerBudget,
     """Maximize the cut-set upper bound over the per-tone correlation
     product t, reported as a split with equal magnitudes s = sqrt(t)."""
     settings = settings or OptimizerSettings()
-    terms = _CutsetTerms(instance, powers)
-    solved = _max_min(terms, terms.bc_gain, settings)
+    solved = _max_min(_tones(instance, powers), _broadcast_gain(instance, powers),
+                      settings)
     return _result(rates.cutset_rate, instance, powers, "cutset", solved,
                    solved[0], solved[0])
 
@@ -359,8 +287,8 @@ def optimize_degraded(instance: RelayChannelInstance, powers: PowerBudget,
     coefficient is solved for.  On a degraded channel this attains
     capacity."""
     settings = settings or OptimizerSettings()
-    terms = _PdfTerms(instance, powers)
-    solved = _max_min(terms, terms.sr_gain, settings)
+    tones = _tones(instance, powers)
+    solved = _max_min(tones, tones.sr, settings)
     return _result(rates.pdf_rate, instance, powers, "degraded", solved,
                    solved[0] ** 2, 1.0)
 
@@ -381,22 +309,32 @@ def brute_force_oracle(instance: RelayChannelInstance, powers: PowerBudget,
         raise ValueError(f"resolution must be in (0, 0.5], got {resolution!r}")
     steps = round(1.0 / resolution)
     axis = np.linspace(0.0, 1.0, steps + 1)
-
-    if objective == "pdf":
-        terms: _TermsBase = _PdfTerms(instance, powers)
-        axes = [axis[None], axis[None]]
-    elif objective == "cutset":
-        terms = _CutsetTerms(instance, powers)
-        axes = [axis[None]]
-    else:
+    a, b = axis[:, None], axis[None, :]
+    tones = _tones(instance, powers)
+    if objective == "cutset":
+        bc = _broadcast_gain(instance, powers)
+    elif objective != "pdf":
         raise ValueError(f"unknown objective {objective!r}")
 
-    first, second = terms.at(axes)
-    if instance.block_size == 1:
-        return float(np.max(np.minimum(first[0], second[0])))
+    def terms(k):
+        """Both terms of tone k in bits on the grid, flattened: the plain
+        closed forms over (a, b) for pdf, over t = a*b for the cut-set.
+        The per-tone scalars are Python floats, so numpy reuses each
+        grid-sized temporary of a chain in place."""
+        base, cross, sr, sd = (float(x[k]) for x in tones)
+        if objective == "cutset":
+            return (np.log1p(base + cross * np.sqrt(axis)) / LN2,
+                    np.log1p(float(bc[k]) * (1.0 - axis)) / LN2)
+        first = np.log1p(base + cross * np.sqrt(a * b)) / LN2
+        second = (np.log1p(sr * (1.0 - a) * b / (sr * (1.0 - b) + 1.0))
+                  + np.log1p(sd * (1.0 - b))) / LN2
+        return first.ravel(), second.ravel()
 
-    u1, u2 = first[0], second[0]
-    v1, v2 = first[1], second[1]
+    u1, u2 = terms(0)
+    if instance.block_size == 1:
+        return float(np.max(np.minimum(u1, u2)))
+
+    v1, v2 = terms(1)
     if objective == "cutset":
         # small enough to enumerate all pairs directly
         pair_first = 0.5 * (u1[:, None] + v1[None, :])

@@ -227,112 +227,6 @@ def test_random_instance_ranges():
     assert 10.0 ** -0.5 <= powers.p_src <= 10.0
 
 
-def _explicit_terms(terms, axes, tones):
-    """The optimizer's closed forms applied pointwise to the product grid
-    of `axes`, materialized as (tones, points) arrays in lexicographic
-    order."""
-    shape = tuple(axis.shape[1] for axis in axes)
-    index = np.indices(shape).reshape(len(axes), -1)
-    points = [axis[:, i] for axis, i in zip(axes, index)]
-    base = terms.mac_base[tones][:, None]
-    cross = terms.mac_cross[tones][:, None]
-    if isinstance(terms, optimizer._PdfTerms):
-        a, b = points
-        sr = terms.sr_gain[tones][:, None]
-        sd = terms.sd_gain[tones][:, None]
-        first = np.log1p(base + cross * np.sqrt(a * b)) / rates.LN2
-        relay_snr = sr * (1.0 - a) * b / (sr * (1.0 - b) + 1.0)
-        second = (np.log1p(relay_snr) + np.log1p(sd * (1.0 - b))) / rates.LN2
-    else:
-        (t,) = points
-        first = np.log1p(base + cross * np.sqrt(t)) / rates.LN2
-        second = np.log1p(terms.bc_gain[tones][:, None] * (1.0 - t)) / rates.LN2
-    return first, second
-
-
-def test_product_kernel_equals_explicit_points():
-    rng = np.random.default_rng(35)
-    instance, powers = random_instance(12, rng)
-    pdf = optimizer._PdfTerms(instance, powers)
-    cutset = optimizer._CutsetTerms(instance, powers)
-    tones = slice(3, 9)
-
-    def axis(rows, size):
-        return rng.random((rows, size))
-
-    cases = [
-        (pdf, [axis(1, 7), axis(1, 5)]),            # shared 2-D grid
-        (pdf, [axis(6, 7), axis(6, 5)]),            # per-tone 2-D grid
-        (pdf, [axis(6, 9), np.ones((6, 1))]),       # pinned auxiliary axis
-        (pdf, [axis(1, 9), axis(1, 1)]),            # pinned, shared
-        (cutset, [axis(1, 11)]),                    # shared 1-D grid
-        (cutset, [axis(6, 11)]),                    # per-tone 1-D grid
-    ]
-    for terms, axes in cases:
-        got = terms.at(axes, tones)
-        want = _explicit_terms(terms, axes, tones)
-        written = tuple(np.empty_like(w) for w in want)  # as the coarse table
-        terms.at(axes, tones, out=written)
-        for g, o, w in zip(got, written, want):
-            assert g.shape == w.shape
-            assert np.array_equal(g, w)
-            assert np.array_equal(o, w)
-    # all tones at once, shared axes
-    got = pdf.at([axis(1, 4), axis(1, 3)])
-    assert got[0].shape == (12, 12)
-
-
-def _allocating_terms(terms, axes, tones):
-    """The closed forms as plain broadcast expressions on the product grid,
-    one fresh temporary per operation."""
-    d = len(axes)
-    grid = []
-    for i, axis in enumerate(axes):
-        shape = [axis.shape[0]] + [1] * d
-        shape[1 + i] = axis.shape[1]
-        grid.append(axis.reshape(shape))
-
-    def tone(gain):
-        return gain[tones].reshape((-1,) + (1,) * d)
-
-    base, cross = tone(terms.mac_base), tone(terms.mac_cross)
-    if isinstance(terms, optimizer._PdfTerms):
-        a, b = grid
-        sr, sd = tone(terms.sr_gain), tone(terms.sd_gain)
-        first = np.log1p(base + cross * np.sqrt(a * b)) / rates.LN2
-        relay_snr = sr * (1.0 - a) * b / (sr * (1.0 - b) + 1.0)
-        second = (np.log1p(relay_snr) + np.log1p(sd * (1.0 - b))) / rates.LN2
-    else:
-        (t,) = grid
-        first = np.log1p(base + cross * np.sqrt(t)) / rates.LN2
-        second = np.log1p(tone(terms.bc_gain) * (1.0 - t)) / rates.LN2
-    rows = len(base)
-    return first.reshape(rows, -1), second.reshape(rows, -1)
-
-
-def test_in_place_terms_equal_allocating_terms():
-    rng = np.random.default_rng(37)
-    instance, powers = random_instance(10, rng)
-    pdf = optimizer._PdfTerms(instance, powers)
-    cutset = optimizer._CutsetTerms(instance, powers)
-    grid = np.linspace(0.0, 1.0, 21)[None]
-    tones = slice(2, 9)
-    cases = [
-        (pdf, [grid, grid]),                                   # shared
-        (pdf, [rng.random((7, 21)), rng.random((7, 13))]),     # per tone
-        (pdf, [rng.random((7, 21)), np.ones((7, 1))]),         # pinned
-        (cutset, [grid]),                                      # shared
-        (cutset, [rng.random((7, 17))]),                       # per tone
-    ]
-    for terms, axes in cases:
-        want = _allocating_terms(terms, axes, tones)
-        out = tuple(np.empty_like(w) for w in want)
-        got = terms.at(axes, tones, out=out)
-        for g, o, w in zip(got, out, want):
-            assert np.shares_memory(g, o)
-            assert np.array_equal(o, w)
-
-
 def _block128_instance():
     config = ExperimentConfig(block_size=128, trials=1)
     powers = powers_from_config(config)[0]
@@ -387,14 +281,14 @@ CERTIFICATE_CASES = _certificate_cases()
 
 def _one_dimensional(objective, instance, powers):
     """(B, C, M) of the objective's problem max_s min(F1, F2)."""
+    tones = optimizer._tones(instance, powers)
     if objective == "cutset":
-        terms = optimizer._CutsetTerms(instance, powers)
-        return terms.mac_base, terms.mac_cross, terms.bc_gain
-    terms = optimizer._PdfTerms(instance, powers)
-    if objective == "df":
-        return terms.mac_base, terms.mac_cross, terms.sr_gain
-    return (terms.mac_base, terms.mac_cross,
-            np.maximum(terms.sr_gain, terms.sd_gain))
+        gain = optimizer._broadcast_gain(instance, powers)
+    elif objective == "df":
+        gain = tones.sr
+    else:
+        gain = np.maximum(tones.sr, tones.sd)
+    return tones.base, tones.cross, gain
 
 
 @pytest.mark.parametrize("objective", sorted(OPTIMIZERS))
@@ -426,6 +320,56 @@ def test_certified_dual_gap(objective):
         result = OPTIMIZERS[objective](instance, powers)
         assert 0.0 <= result.dual_gap <= 1e-9
         assert result.converged
+
+
+def _mapped_magnitudes(objective, instance, powers, s):
+    """(relay, aux) magnitudes of the split an optimizer reports for the
+    per-tone s: cut-set (s, s); df (t, 1) with t = s^2; pdf (t, 1) where
+    sr >= sd, else (1, t), and (0, 0) at t = 0."""
+    t = s ** 2
+    if objective == "cutset":
+        return s, s
+    if objective == "df":
+        return t, np.ones_like(s)
+    tones = optimizer._tones(instance, powers)
+    relay_first = tones.sr >= tones.sd
+    return (np.where(relay_first, t, np.where(t > 0.0, 1.0, 0.0)),
+            np.where(relay_first, 1.0, t))
+
+
+@pytest.mark.parametrize("objective", sorted(OPTIMIZERS))
+def test_one_dimensional_terms_equal_the_rates_closed_forms(objective):
+    # the reduction to max_s min(F1, F2), checked tone by tone against the
+    # rates module's cut SNRs at the mapped split
+    rng = np.random.default_rng(41)
+    zeros = 0
+    for instance, powers in CERTIFICATE_CASES:
+        base, cross, gain = _one_dimensional(objective, instance, powers)
+        s = rng.random(instance.block_size)
+        s[rng.random(s.size) < 0.1] = 0.0
+        s[rng.random(s.size) < 0.1] = 1.0
+        relay_mag, aux_mag = _mapped_magnitudes(objective, instance, powers, s)
+        mac = rates.mac_cut_snr(instance.g_sd, instance.g_rd, powers.p_src,
+                                powers.p_rel, instance.n_dest,
+                                *_split_arrays(instance, relay_mag, aux_mag))
+        # the decode and broadcast cuts read only the split magnitudes, so
+        # they get them unrotated: an aligned coefficient of magnitude 1 is 1
+        # only to an ulp, which at M ~ 1e5 moves a term by ~1e-11 bits, and
+        # a term that is exactly 0 (s = 1) then matches exactly
+        if objective == "cutset":
+            other = rates.broadcast_cut_snr(
+                instance.g_sd, instance.g_sr, powers.p_src, instance.n_dest,
+                instance.n_relay, relay_mag, aux_mag, instance.noise_corr)
+        else:
+            other = rates.decode_cut_snr(
+                instance.g_sd, instance.g_sr, powers.p_src, instance.n_dest,
+                instance.n_relay, relay_mag, aux_mag)
+        first = np.log1p(base + cross * s) / rates.LN2
+        second = np.log1p(gain * (1.0 - s * s)) / rates.LN2
+        np.testing.assert_allclose(first, rates.cap(mac), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(second, rates.cap(other), rtol=1e-12, atol=0.0)
+        zeros += np.count_nonzero(second == 0.0)
+    assert zeros > 0
 
 
 def test_exact_rates_are_at_least_the_oracle():
@@ -471,6 +415,22 @@ def test_exact_rates_are_at_least_a_dense_grid():
             best = float(np.max(_grid_rates(instance, powers, objective,
                                             relay_mag, aux_mag)))
             assert OPTIMIZERS[objective](instance, powers).rate >= best - 1e-12
+
+
+def test_oracle_grid_equals_the_rates_closed_forms():
+    # the oracle's own real closed forms against the rates module's cut
+    # SNRs on the same one-tone grid: (a, b) for pdf, t = a*b for the cut-set
+    rng = np.random.default_rng(42)
+    axis = np.linspace(0.0, 1.0, 101)
+    a, b = (m.ravel() for m in np.meshgrid(axis, axis, indexing="ij"))
+    for _ in range(5):
+        instance, powers = random_instance(1, rng)
+        for objective, (relay_mag, aux_mag) in (
+                ("pdf", (a, b)), ("cutset", (np.sqrt(axis), np.sqrt(axis)))):
+            best = float(np.max(_grid_rates(instance, powers, objective,
+                                            relay_mag, aux_mag)))
+            oracle = brute_force_oracle(instance, powers, objective, 0.01)
+            assert oracle == pytest.approx(best, rel=1e-12)
 
 
 # the paper's statements that the exact solve makes algebraic facts
@@ -551,3 +511,26 @@ def test_pdf_and_df_do_not_depend_on_the_noise_correlation(seed, tones):
     for got, want in zip(_rates(other, powers)[:2], _rates(instance, powers)[:2]):
         assert got == pytest.approx(want, rel=1e-12)
 
+
+
+@THEOREMS
+@given(seed=SEEDS, tones=TONES, c=st.floats(1e-2, 1e2))
+def test_scaling_gains_by_c_and_noises_by_c_squared_leaves_every_rate(
+        seed, tones, c):
+    instance, powers = random_instance(tones, np.random.default_rng(seed))
+    scaled = replace(instance, g_sd=c * instance.g_sd, g_sr=c * instance.g_sr,
+                     g_rd=c * instance.g_rd, n_dest=c * c * instance.n_dest,
+                     n_relay=c * c * instance.n_relay)
+    for got, want in zip(_rates(scaled, powers), _rates(instance, powers)):
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+@THEOREMS
+@given(seed=SEEDS, tones=TONES, c=st.floats(1.0, 1e2),
+       scale=st.sampled_from([(True, False), (False, True), (True, True)]))
+def test_more_power_never_lowers_a_rate(seed, tones, c, scale):
+    instance, powers = random_instance(tones, np.random.default_rng(seed))
+    more = PowerBudget(p_src=powers.p_src * (c if scale[0] else 1.0),
+                       p_rel=powers.p_rel * (c if scale[1] else 1.0))
+    for got, base in zip(_rates(instance, more), _rates(instance, powers)):
+        assert got >= base - 1e-12 * base
