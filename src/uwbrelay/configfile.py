@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .experiments import ExperimentConfig
-from .optimizer import OptimizerSettings
+from .optimizer import OptimizerSettings, _grid_steps
 from .svchannel import PathlossParameters, SVParameters
 
 
@@ -39,8 +39,7 @@ class OracleSettings:
     def __post_init__(self) -> None:
         if self.k1_instances < 0 or self.k2_instances < 0:
             raise ValueError("instance counts must be >= 0")
-        if not (0 < self.resolution <= 0.5):
-            raise ValueError(f"resolution must be in (0, 0.5], got {self.resolution!r}")
+        _grid_steps(self.resolution, "oracle.resolution")
         if not (math.isfinite(self.tolerance_bits) and self.tolerance_bits > 0):
             raise ValueError("tolerance_bits must be > 0")
         if self.seed < 0:

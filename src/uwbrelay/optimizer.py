@@ -26,8 +26,16 @@ equalizes the terms on the segment between the two bracketing solutions,
 and the best point evaluated wins.  Concavity closes the duality gap
 (minimax theorem), so every weighted value is an upper bound on the
 optimum and OptimizationResult.dual_gap certifies the answer.
-brute_force_oracle searches the original (a, b) grid exhaustively as an
-independent check, with the plain real closed forms of both terms.
+brute_force_oracle is an independent check: the exact max-min over the
+original (a, b) grid, with the plain real closed forms of both terms and
+none of the reduction above.  It rests only on the monotonicity of those
+closed forms.  Down a column of fixed b the multiple-access term rises
+with a and the decode term falls, so a column's best point sits at the
+row where they cross, and one bisection per column finds it.  For two
+tones a grid point that another point of its tone beats in both terms
+never decides the pairing, so the pair search runs on each tone's
+frontier of unbeaten points.  Both return exactly the value of
+evaluating every grid point.
 """
 
 from __future__ import annotations
@@ -203,8 +211,12 @@ def _max_min(tones: _Tones, gain: np.ndarray, settings: OptimizerSettings):
     solutions = {}
 
     def evaluate(s):
-        value = (float(np.mean(np.log1p(base + cross * s))) / LN2,
-                 float(np.mean(np.log1p(gain * (1.0 - s * s)))) / LN2)
+        # np.add.reduce(x) / x.size is what np.mean computes, minus its
+        # per-call overhead
+        first = np.log1p(base + cross * s)
+        second = np.log1p(gain * (1.0 - s * s))
+        value = (float(np.add.reduce(first) / first.size) / LN2,
+                 float(np.add.reduce(second) / second.size) / LN2)
         if not best or min(value) > min(best[1]):  # earliest point takes ties
             best[:] = s, value
         return value
@@ -293,54 +305,121 @@ def optimize_degraded(instance: RelayChannelInstance, powers: PowerBudget,
                    solved[0] ** 2, 1.0)
 
 
+def _grid_steps(resolution: float, name: str = "resolution") -> int:
+    """Number of steps of an oracle grid with the given step, which must
+    divide [0, 1] into a whole number of steps (to rel 1e-9) of at most
+    0.5; name is the quantity the error message names."""
+    if not (0 < resolution <= 0.5):
+        raise ValueError(f"{name} must be in (0, 0.5], got {resolution!r}")
+    steps = round(1.0 / resolution)
+    if abs(1.0 / resolution - steps) > 1e-9 / resolution:
+        raise ValueError(f"{name} must divide [0, 1] into whole steps, "
+                         f"got {resolution!r}")
+    return steps
+
+
+def _column_crossings(terms, n: int) -> float:
+    """max of min(first, second) over an n x n grid whose terms(rows, cols)
+    are nondecreasing (first) and nonincreasing (second) down every column.
+    A column's maximum is then first at the row before the crossing (the
+    first row where first >= second) or second at the crossing; the
+    crossing is bisected in all columns at once."""
+    cols = np.arange(n)
+    lo, hi = np.zeros(n, dtype=np.intp), np.full(n, n)  # crossing row in [lo, hi]
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) // 2
+        first, second = terms(np.minimum(mid, n - 1), cols)
+        open_ = lo < hi
+        above = first >= second
+        hi = np.where(open_ & above, mid, hi)
+        lo = np.where(open_ & ~above, mid + 1, lo)
+    below = np.where(lo > 0, terms(np.maximum(lo - 1, 0), cols)[0], -np.inf)
+    at = np.where(lo < n, terms(np.minimum(lo, n - 1), cols)[1], -np.inf)
+    return float(np.max(np.maximum(below, at)))
+
+
+def _frontier(first, second):
+    """The points of a (first, second) cloud that no other point beats in
+    both terms: by first descending, each point whose second exceeds that
+    of every point before it."""
+    order = np.argsort(first, kind="stable")[::-1]
+    first, second = first[order], second[order]
+    keep = np.empty(first.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = second[1:] > np.maximum.accumulate(second)[:-1]
+    return first[keep], second[keep]
+
+
 def brute_force_oracle(instance: RelayChannelInstance, powers: PowerBudget,
                        objective: str = "pdf", resolution: float = 1e-3) -> float:
-    """Exhaustive max-min over the full per-tone magnitude grid at the
-    given resolution; supports one or two tones only (the joint grid is
-    exponential in the block size).
+    """Exact max-min over the full per-tone magnitude grid at the given
+    resolution, which must divide [0, 1] into whole steps; supports one or
+    two tones only (the joint grid is exponential in the block size).
 
-    For two tones the pairing is resolved exactly on the same grid by
-    bisecting the achieved rate against a sorted-suffix feasibility test,
-    which is algebraically identical to enumerating all grid pairs.
+    The terms are the plain real closed forms: over (a, b) for pdf, over
+    t = a*b for the cut-set.  Down a pdf column (fixed b) the first term
+    rises with a and the second falls, so the one-tone maximum is found
+    from each column's crossing row, and a two-tone search needs only the
+    points of each tone's cloud that no other point beats in both terms.
+    Both give the value of evaluating every grid point, bit for bit.  The
+    two-tone pairing is resolved exactly by bisecting the achieved rate
+    against a sorted-suffix feasibility test, which is algebraically
+    identical to enumerating all grid pairs.
     """
     if instance.block_size > 2:
         raise ValueError("brute_force_oracle supports block sizes 1 and 2 only")
-    if not (0 < resolution <= 0.5):
-        raise ValueError(f"resolution must be in (0, 0.5], got {resolution!r}")
-    steps = round(1.0 / resolution)
+    steps = _grid_steps(resolution)
     axis = np.linspace(0.0, 1.0, steps + 1)
-    a, b = axis[:, None], axis[None, :]
     tones = _tones(instance, powers)
     if objective == "cutset":
         bc = _broadcast_gain(instance, powers)
     elif objective != "pdf":
         raise ValueError(f"unknown objective {objective!r}")
 
-    def terms(k):
-        """Both terms of tone k in bits on the grid, flattened: the plain
-        closed forms over (a, b) for pdf, over t = a*b for the cut-set.
-        The per-tone scalars are Python floats, so numpy reuses each
-        grid-sized temporary of a chain in place."""
+    def cutset_terms(k):
+        """Both cut-set terms of tone k in bits on the t axis."""
+        base, cross = float(tones.base[k]), float(tones.cross[k])
+        return (np.log1p(base + cross * np.sqrt(axis)) / LN2,
+                np.log1p(float(bc[k]) * (1.0 - axis)) / LN2)
+
+    def pdf_terms(k):
+        """terms(rows, cols): both pdf terms of tone k in bits at
+        (a, b) = (axis[rows], axis[cols]), broadcast.  The per-tone scalars
+        are Python floats, so numpy reuses each temporary of a chain in
+        place."""
         base, cross, sr, sd = (float(x[k]) for x in tones)
-        if objective == "cutset":
-            return (np.log1p(base + cross * np.sqrt(axis)) / LN2,
-                    np.log1p(float(bc[k]) * (1.0 - axis)) / LN2)
-        first = np.log1p(base + cross * np.sqrt(a * b)) / LN2
-        second = (np.log1p(sr * (1.0 - a) * b / (sr * (1.0 - b) + 1.0))
-                  + np.log1p(sd * (1.0 - b))) / LN2
-        return first.ravel(), second.ravel()
+        direct = np.log1p(sd * (1.0 - axis))
 
-    u1, u2 = terms(0)
-    if instance.block_size == 1:
-        return float(np.max(np.minimum(u1, u2)))
+        def terms(rows, cols):
+            a, b = axis[rows], axis[cols]
+            first = np.log1p(base + cross * np.sqrt(a * b)) / LN2
+            second = (np.log1p(sr * (1.0 - a) * b / (sr * (1.0 - b) + 1.0))
+                      + direct[cols]) / LN2
+            return first, second
+        return terms
 
-    v1, v2 = terms(1)
     if objective == "cutset":
+        u1, u2 = cutset_terms(0)
+        if instance.block_size == 1:
+            return float(np.max(np.minimum(u1, u2)))
+        v1, v2 = cutset_terms(1)
         # small enough to enumerate all pairs directly
         pair_first = 0.5 * (u1[:, None] + v1[None, :])
         pair_second = 0.5 * (u2[:, None] + v2[None, :])
         return float(np.max(np.minimum(pair_first, pair_second)))
 
+    if instance.block_size == 1:
+        return _column_crossings(pdf_terms(0), steps + 1)
+
+    index = np.arange(steps + 1)
+
+    def cloud(k):
+        first, second = pdf_terms(k)(index[:, None], index[None, :])
+        return _frontier(first.ravel(), second.ravel())
+
+    # a point beaten in both terms by another of its tone never decides
+    # feasibility, nor the maxima that bound the bisection
+    (u1, u2), (v1, v2) = cloud(0), cloud(1)
     order = np.argsort(v1, kind="stable")
     v1_sorted = v1[order]
     suffix_best = np.maximum.accumulate(v2[order][::-1])[::-1]

@@ -211,6 +211,15 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         assert "configuration error" in err
         assert line.split()[0].split(".")[1] in err
         assert not (tmp_path / "psd" / "bounds.csv").exists()
+    # an oracle step that does not divide [0, 1] into whole steps
+    for value in ("0.3", "0.4"):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(f"oracle.resolution = {value}\n")
+        assert _run(["oracle-check", "--config", str(grid),
+                     "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "oracle.resolution" in err
 
 
 def test_negative_seed_override_exits_2(cfg_path, tmp_path, capsys):

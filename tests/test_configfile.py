@@ -131,6 +131,8 @@ def test_oracle_settings_validation():
         OracleSettings(k1_instances=-1)
     with pytest.raises(ValueError):
         OracleSettings(resolution=0.0)
+    for resolution in (1e-3, 1e-2, 0.05, 1 / 3, 0.5):
+        OracleSettings(resolution=resolution)
     with pytest.raises(ValueError):
         OracleSettings(tolerance_bits=0.0)
     with pytest.raises(ValueError):

@@ -9,9 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# oracle_check.py is left out: the oracle tests cover what it runs
 DEMOS = ["channel_model_tour.py", "single_instance_bounds.py",
-         "capacity_coincidence.py", "relay_position_sweep.py"]
+         "capacity_coincidence.py", "relay_position_sweep.py", "oracle_check.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

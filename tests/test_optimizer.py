@@ -1,6 +1,7 @@
 """Split optimizers against frozen values and exhaustive search."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -162,6 +163,91 @@ def test_brute_force_oracle_guards():
         brute_force_oracle(one, powers, "pdf", resolution=0.7)
     with pytest.raises(ValueError):
         brute_force_oracle(one, powers, "nope")
+    # a step that does not divide [0, 1] is refused, not snapped to 1/3 or 0.5
+    for resolution in (0.3, 0.4):
+        with pytest.raises(ValueError, match="whole steps"):
+            brute_force_oracle(one, powers, "pdf", resolution)
+    for resolution in (1e-3, 1e-2, 0.05, 1 / 3, 0.5):
+        assert brute_force_oracle(one, powers, "pdf", resolution) > 0.0
+
+
+def _dense_oracle(instance, powers, resolution):
+    """Reference pdf oracle: both terms at every point of the (a, b) grid,
+    and for two tones the feasibility bisection over the whole clouds."""
+    steps = round(1.0 / resolution)
+    axis = np.linspace(0.0, 1.0, steps + 1)
+    a, b = axis[:, None], axis[None, :]
+    tones = optimizer._tones(instance, powers)
+
+    def terms(k):
+        base, cross, sr, sd = (float(x[k]) for x in tones)
+        first = np.log1p(base + cross * np.sqrt(a * b)) / rates.LN2
+        second = (np.log1p(sr * (1.0 - a) * b / (sr * (1.0 - b) + 1.0))
+                  + np.log1p(sd * (1.0 - b))) / rates.LN2
+        return first.ravel(), second.ravel()
+
+    u1, u2 = terms(0)
+    if instance.block_size == 1:
+        return float(np.max(np.minimum(u1, u2)))
+    v1, v2 = terms(1)
+    order = np.argsort(v1, kind="stable")
+    v1_sorted = v1[order]
+    suffix_best = np.append(np.maximum.accumulate(v2[order][::-1])[::-1], -np.inf)
+
+    def feasible(rate):
+        pos = np.searchsorted(v1_sorted, 2.0 * rate - u1, side="left")
+        return bool(np.any(suffix_best[pos] >= 2.0 * rate - u2))
+
+    lo = 0.0
+    hi = min(0.5 * (u1.max() + v1.max()), 0.5 * (u2.max() + v2.max())) + 1e-9
+    iters = 0
+    while hi - lo > 1e-9 and iters < 80:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+        iters += 1
+    return lo
+
+
+def _degenerate_one_tone_instances():
+    """Zero gains, no relay link (sr = 0), no direct link (sd = 0, C = 0),
+    no relay-destination link (C = 0) and extreme gain ratios."""
+    gains = [(0.0, 0.0, 0.0), (1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 0.0),
+             (0.0, 0.0, 1.0), (2.0, 1e-8, 3.0), (1e-4, 5e3, 1.0), (5e3, 1.0, 1e-4)]
+    return [(make_instance(*g, noise_corr=[0.3]), PowerBudget(p_src=2.0, p_rel=1.0))
+            for g in gains]
+
+
+@pytest.mark.parametrize("resolution", [1e-3, 1e-2, 0.05, 0.5])
+def test_one_tone_oracle_equals_the_dense_grid(resolution):
+    rng = np.random.default_rng(43)
+    cases = [random_instance(1, rng) for _ in range(50)]
+    for instance, powers in cases + _degenerate_one_tone_instances():
+        assert (brute_force_oracle(instance, powers, "pdf", resolution)
+                == _dense_oracle(instance, powers, resolution))
+
+
+def test_two_tone_oracle_equals_the_dense_grid():
+    rng = np.random.default_rng(44)
+    cases = [random_instance(2, rng) for _ in range(3)] + [k2_instance()]
+    zeros = make_instance([1.0, 0.0], [0.0, 2.0], [1.5, 0.0])
+    for instance, powers in cases + [(zeros, K1_POWERS)]:
+        assert (brute_force_oracle(instance, powers, "pdf", 1e-2)
+                == _dense_oracle(instance, powers, 1e-2))
+
+
+def test_one_tone_oracle_allocates_no_grid():
+    # the dense 1001 x 1001 grid peaked at about 23 MB
+    instance, powers = random_instance(1, np.random.default_rng(45))
+    tracemalloc.start()
+    try:
+        brute_force_oracle(instance, powers, "pdf", 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_two_tone_oracle_equals_pair_enumeration():
