@@ -193,9 +193,9 @@ pathloss.ref_distance = 1.0               # m
 pathloss.exponent = 4.58
 pathloss.shadowing_sigma_db = 3.51
 
-# --- optimizer: bisection controls of the exact split solve ---
+# --- optimizer: root-search controls of the exact split solve ---
 optimizer.tone_grid_points = 101          # unused (no grid is searched)
-optimizer.lambda_tolerance = 1e-9         # bisection width on the weight
+optimizer.lambda_tolerance = 1e-9         # bracket width on the weight
 optimizer.max_lambda_iters = 60
 optimizer.refine_steps = 3                # unused (no grid is searched)
 

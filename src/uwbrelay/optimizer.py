@@ -20,12 +20,13 @@ of _tones and a per-tone gain M:
 
 Both terms are concave in s.  For a weight lam the weighted sum
 lam*F1 + (1 - lam)*F2 separates across tones, and its per-tone maximizer
-is the nonnegative root of a quadratic, clipped to [0, 1].  A bisection
-on lam brackets the weight where the terms cross; a second bisection
-equalizes the terms on the segment between the two bracketing solutions,
-and the best point evaluated wins.  Concavity closes the duality gap
-(minimax theorem), so every weighted value is an upper bound on the
-optimum and OptimizationResult.dual_gap certifies the answer.
+is the nonnegative root of a quadratic, clipped to [0, 1].  A root
+search on lam (_bracket_root: safeguarded inverse-quadratic and secant
+steps) brackets the weight where the terms cross; a second one
+equalizes the terms on the segment between the two bracketing
+solutions, and the best point evaluated wins.  Concavity closes the
+duality gap (minimax theorem), so every weighted value is an upper bound
+on the optimum and OptimizationResult.dual_gap certifies the answer.
 brute_force_oracle is an independent check: the exact max-min over the
 original (a, b) grid, with the plain real closed forms of both terms and
 none of the reduction above.  It rests only on the monotonicity of those
@@ -52,10 +53,10 @@ from .rates import PowerBudget, RelayChannelInstance, SplitParams, LN2
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Controls of the bisections.  Both the weight bisection and the
-    equalizing segment bisection stop at a width of lambda_tolerance or
-    after max_lambda_iters probes.  tone_grid_points and refine_steps are
-    validated but unused: the solve is exact and searches no grid."""
+    """Controls of the root searches.  Both the weight search and the
+    equalizing segment search stop at a bracket width of lambda_tolerance
+    or after max_lambda_iters probes.  tone_grid_points and refine_steps
+    are validated but unused: the solve is exact and searches no grid."""
 
     tone_grid_points: int = 101
     lambda_tolerance: float = 1e-9
@@ -80,8 +81,8 @@ class OptimizationResult:
     tone-averaged terms (first = multiple-access, second = decode or
     broadcast) are the solver's optimum; lambda_trace holds
     (lam, first, second) of every weighted solve and iterations counts
-    them; converged is False only when the weight bisection hit its
-    iteration cap; full_decode is the degraded optimum of a pdf search."""
+    them; converged is False only when the weight search hit its probe
+    cap; full_decode is the degraded optimum of a pdf search."""
 
     split: SplitParams
     rate: float
@@ -167,21 +168,69 @@ def _broadcast_gain(instance: RelayChannelInstance, powers: PowerBudget):
         instance.n_relay, 0.0, 0.0, instance.noise_corr)
 
 
-def _bisect(gap, settings: OptimizerSettings):
-    """Halve [0, 1] toward the sign change of gap, which is nondecreasing,
-    <= 0 at 0 and > 0 at 1, until the bracket is at most lambda_tolerance
-    wide or max_lambda_iters probes were made.  Returns the final bracket
-    (lo, hi) and whether the width was reached."""
-    lo, hi = 0.0, 1.0
-    for _ in range(settings.max_lambda_iters):
-        if hi - lo <= settings.lambda_tolerance:
+# spacing of float64 numbers just above 1, the coarsest rounding of an s
+_ULP_OF_ONE = float(np.finfo(float).eps)
+
+
+def _bracket_root(gap, lo, hi, gap_lo, gap_hi, tolerance, max_probes):
+    """Shrink [lo, hi] toward the sign change of gap, which is
+    nondecreasing with the known end values gap_lo <= 0 < gap_hi, until
+    the bracket is at most tolerance wide, a probe hits an exact zero, or
+    max_probes probes were made.  A probe with gap <= 0 replaces lo and
+    any other replaces hi, so (lo, hi) always keeps gap(lo) <= 0 < gap(hi).
+
+    Each probe is an inverse-quadratic step through both ends and the end
+    the last probe dropped, where Chandrupatla's test (1997) trusts it;
+    otherwise a secant step, before any end was dropped and while the far
+    end is still lo or hi and the probes keep landing on the near side.
+    Those secants scale the far end's gap down by each probe's progress
+    (Anderson and Bjorck), which pulls them toward a root close to a
+    starting end, where halving would gain one bit per probe.  A probe
+    falls back to the midpoint where neither step applies or the bracket
+    did not halve over the last two probes, and stays tolerance/2 inside
+    the ends, so an accurate step closes the bracket with the next probe.
+    Returns (lo, hi, converged); converged is False when the probe cap was
+    hit."""
+    # a is the end the last probe moved, b the other end, c the dropped one;
+    # scale shrinks gap(b) while the probes stay on a's side
+    a, fa, b, fb = lo, gap_lo, hi, gap_hi
+    c = fc = None
+    scale = 1.0
+    widths = [hi - lo]
+    for _ in range(max_probes):
+        width = abs(b - a)
+        if width <= tolerance or fa == 0.0:
             break
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            hi = mid
+        t = 0.5
+        if len(widths) < 3 or width <= 0.5 * widths[-3]:
+            if c is None:
+                t = fa / (fa - fb)
+            else:
+                xi = (a - b) / (c - b)
+                phi = (fa - fb) / (fc - fb)
+                if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+                    t = (fa / (fb - fa) * fc / (fb - fc)
+                         + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+                elif scale < 1.0 and b in (lo, hi):
+                    t = fa / (fa - scale * fb)
+            if not 0.0 < t < 1.0:  # also catches a nan
+                t = 0.5
+        margin = 0.5 * tolerance / width
+        t = min(max(t, margin), 1.0 - margin)
+        x = a + t * (b - a)
+        fx = gap(x)
+        if (fx > 0.0) == (fa > 0.0):
+            progress = 1.0 - fx / fa
+            if 0.0 < progress < 1.0:
+                scale *= progress
+            c, fc = a, fa
         else:
-            lo = mid
-    return lo, hi, hi - lo <= settings.lambda_tolerance
+            scale = 1.0
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = x, fx
+        widths.append(abs(b - a))
+    converged = abs(b - a) <= tolerance or fa == 0.0
+    return (a, b, converged) if fa <= 0.0 else (b, a, converged)
 
 
 def _weighted_maximizer(lam, base, cross, gain):
@@ -203,12 +252,12 @@ def _max_min(tones: _Tones, gain: np.ndarray, settings: OptimizerSettings):
     """Exact max over s in [0, 1]^K of min(F1, F2) (see module docstring)
     for the multiple-access scalars of `tones` and the per-tone gain M.
     Returns (s, (F1, F2), lambda_trace, converged) for the best point
-    evaluated; converged is False when the weight bisection hit its
-    iteration cap."""
+    evaluated; converged is False when the weight search hit its probe
+    cap."""
     base, cross = tones.base, tones.cross
     trace = []
     best = []
-    solutions = {}
+    ends = {}  # (s, F1 - F2) of the last weighted solve on each side of 0
 
     def evaluate(s):
         # np.add.reduce(x) / x.size is what np.mean computes, minus its
@@ -222,9 +271,10 @@ def _max_min(tones: _Tones, gain: np.ndarray, settings: OptimizerSettings):
         return value
 
     def weighted(lam):
-        s = solutions[lam] = _weighted_maximizer(lam, base, cross, gain)
+        s = _weighted_maximizer(lam, base, cross, gain)
         first, second = evaluate(s)
         trace.append((lam, first, second))
+        ends[first - second > 0.0] = s, first - second
         return first - second
 
     low_gap, high_gap = weighted(0.0), weighted(1.0)
@@ -232,17 +282,24 @@ def _max_min(tones: _Tones, gain: np.ndarray, settings: OptimizerSettings):
     # otherwise the pure F2 maximizer leaves F1 slack, or the pure F1
     # maximizer leaves F2 slack, and is optimal on its own
     if low_gap < 0.0 < high_gap:
-        lo, hi, converged = _bisect(weighted, settings)
-        # s rises with lam on every tone, so F1 - F2 rises along the segment
-        # between the bracketing solutions: equalize the terms on it
-        low = solutions[lo]
-        step = solutions[hi] - low
+        _, _, converged = _bracket_root(weighted, 0.0, 1.0, low_gap, high_gap,
+                                        settings.lambda_tolerance,
+                                        settings.max_lambda_iters)
+        # the weighted search leaves its bracket's solutions in ends; s rises
+        # with lam on every tone, so F1 - F2 rises along the segment between
+        # them: equalize the terms on it, down to the width where a step in
+        # theta no longer moves any s by a float64 ulp of 1
+        (low, low_gap), (high, high_gap) = ends[False], ends[True]
+        step = high - low
+        largest = float(np.max(step))
+        if largest > 0.0:
+            def along(theta):
+                first, second = evaluate(low + theta * step)
+                return first - second
 
-        def along(theta):
-            first, second = evaluate(low + theta * step)
-            return first - second
-
-        _bisect(along, settings)
+            _bracket_root(along, 0.0, 1.0, low_gap, high_gap,
+                          max(settings.lambda_tolerance, _ULP_OF_ONE / largest),
+                          settings.max_lambda_iters)
     return best[0], best[1], trace, converged
 
 

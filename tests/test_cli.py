@@ -274,11 +274,11 @@ optimizer.tone_grid_points = 41
 PINNED_SHA256 = {
     "channel_taps.csv": "78a8f22f15e05fd881a61cfb643f0a20b48103898b6a7703c2d7f58dae73f7d0",
     "channel_response.csv": "840c58583e58debc1d3890969b703a9861b5ad5a8dc404c55643a4196b59b26d",
-    "bounds.csv": "397ee6e366e1ef882bb771d964e51b1a1c8482d8d2e9a3037548dcb5daaf6b0e",
-    "bounds_per_tone.csv": "e282fc58df7a77af0e1ed11886aec9008264af53d5f53043cbba9966a699dbd4",
-    "sweep_distance.csv": "3316667a41c4b55a6c0ebff920d53d0c013a096c3b12094221665487fb913f67",
+    "bounds.csv": "14eccddb2c24c2eeaece0fd610e3292dcb8073d7661efb1ff5f646b84ba8bbe5",
+    "bounds_per_tone.csv": "91f7a76463dc55e1d4ffed8dde4a2a05ca2c4a1364491edddc4fa172de7375ce",
+    "sweep_distance.csv": "0d92390d4c29a9cb4df160d2339658337e8eb1d8743143b8b81f91d7db559562",
     "sweep_distance.svg": "07581cabdafb9ab48375aba664bb45feefd0856fed39ca4c0809ac16823a43b4",
-    "sweep_rho.csv": "89007843edbf933562f31d918fd6ed06996c5d92667fc61afc50f911a2086e96",
+    "sweep_rho.csv": "a4fbdcad9febb45fa2ca77f2c3f53e402d03dacdb95ea34e16470a203377a86c",
     "sweep_rho.svg": "dd4869be9988b5d6d5467eadaa78aabd20376570cbd535fa509a13302db38ed0",
 }
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_instance
 from uwbrelay import optimizer, rates
 from uwbrelay.experiments import (ExperimentConfig, Geometry, build_instance,
-                                  powers_from_config)
+                                  powers_from_config, run_trial)
 from uwbrelay.optimizer import (
     OptimizerSettings,
     OracleComparison,
@@ -304,6 +304,81 @@ def test_optimizer_settings_validation():
         OptimizerSettings(refine_steps=-1)
 
 
+def _plateau(x):
+    """0 on [0.7, 0.7001], rising on both sides."""
+    if x < 0.7:
+        return x - 0.7
+    return max(0.0, 5.0 * (x - 0.7001))
+
+
+# nondecreasing gaps on [0, 1] and the most probes each may take to a
+# bracket width of 1e-9; halving alone takes 30
+SYNTHETIC_GAPS = {
+    "smooth": (lambda x: math.expm1(3.0 * x) - 2.0, 10),
+    "smooth-flat-root": (lambda x: (x - 0.37) ** 3 + 0.01 * (x - 0.37), 14),
+    # the shape of the weight search's gap when M is large: the root sits
+    # 2^-13 below 1 and the gap rises like log(1/(1 - x)); halving toward
+    # the starting end would take about 13 of the probes
+    "log-shaped": (lambda x: -math.log2(1.0 - x + 1e-300) - 13.0, 11),
+    # no slope at the root, so no step converges faster than linearly; the
+    # halving safeguard keeps this one from crawling to the probe cap
+    "flat-root": (lambda x: (x - 0.3) ** 3, 37),
+    "kink-min": (lambda x: min(x - 0.3, 10.0 * (x - 0.3528)), 12),
+    "kink-max": (lambda x: max(0.01 * (x - 0.7), 50.0 * (x - 0.7)), 36),
+    "jump": (lambda x: -1.0 if x < 0.6180339887 else 1.0, 30),
+    "plateau-at-0": (_plateau, 27),
+    "exact-zero": (lambda x: x - 0.25, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(SYNTHETIC_GAPS))
+def test_bracket_root_on_synthetic_gaps(name):
+    gap, ceiling = SYNTHETIC_GAPS[name]
+    probes = []
+
+    def probe(x):
+        probes.append(x)
+        return gap(x)
+
+    lo, hi, converged = optimizer._bracket_root(probe, 0.0, 1.0, gap(0.0),
+                                                gap(1.0), 1e-9, 60)
+    assert converged
+    assert 0.0 <= lo < hi <= 1.0
+    assert gap(lo) <= 0.0 < gap(hi)
+    assert hi - lo <= 1e-9 or gap(lo) == 0.0
+    assert {lo, hi} <= {0.0, 1.0, *probes}
+    assert len(probes) <= ceiling
+    if name in ("plateau-at-0", "exact-zero"):
+        assert gap(lo) == 0.0  # the search stopped at the zero it hit
+
+
+def test_bracket_root_probe_cap():
+    gap = SYNTHETIC_GAPS["kink-max"][0]
+    probes = []
+
+    def probe(x):
+        probes.append(x)
+        return gap(x)
+
+    lo, hi, converged = optimizer._bracket_root(probe, 0.0, 1.0, gap(0.0),
+                                                gap(1.0), 1e-9, 3)
+    assert not converged and len(probes) == 3
+    assert gap(lo) <= 0.0 < gap(hi) and hi - lo > 1e-9
+
+
+def test_probe_cap_reports_unconverged():
+    capped = OptimizerSettings(max_lambda_iters=3)
+    config = ExperimentConfig(block_size=16, trials=1, optimizer=capped)
+    geometry = Geometry(config.d1, 0.3)
+    instance = build_instance(config, geometry, 0.0, 0)
+    powers = powers_from_config(config)[0]
+    assert len(optimize_pdf(instance, powers).lambda_trace) > 5  # it brackets
+    result = optimize_pdf(instance, powers, capped)
+    assert not result.converged
+    assert len(result.lambda_trace) <= 5  # both ends and three probes
+    assert not run_trial(config, geometry, 0.0, 0).flags["pdf_converged"]
+
+
 def test_random_instance_ranges():
     rng = np.random.default_rng(34)
     instance, powers = random_instance(16, rng)
@@ -406,6 +481,32 @@ def test_certified_dual_gap(objective):
         result = OPTIMIZERS[objective](instance, powers)
         assert 0.0 <= result.dual_gap <= 1e-9
         assert result.converged
+
+
+def test_weighted_solve_count_on_the_block128_draws():
+    # the root searches' cost, pinned: halving the weight bracket 30 times
+    # took 216 weighted solves here (72 per objective), the safeguarded
+    # search takes 98
+    total = sum(len(OPTIMIZERS[objective](instance, powers).lambda_trace)
+                for instance, powers in CERTIFICATE_CASES
+                if instance.block_size == 128 for objective in OPTIMIZERS)
+    assert total <= 110
+
+
+@pytest.mark.parametrize("objective", sorted(OPTIMIZERS))
+def test_reported_rate_is_the_solver_optimum_to_rounding(objective):
+    # rate scores the aligned split through the rates module, so it differs
+    # from the solver's min(terms) only by rounding, mostly the aligned
+    # phases' unit-modulus error scaled by large gains (up to 1.4e-11
+    # relative here, on trial 6 at 0.3 m).  The budget lets reported rates
+    # move by that rounding while the solver's values do not
+    config = ExperimentConfig(block_size=128, trials=1)
+    powers = powers_from_config(config)[0]
+    near_source = [(build_instance(config, Geometry(config.d1, 0.3), 0.0, trial),
+                    powers) for trial in range(8)]
+    for instance, powers in CERTIFICATE_CASES + near_source:
+        result = OPTIMIZERS[objective](instance, powers)
+        assert abs(result.rate - min(result.terms)) <= 1e-10 * result.rate
 
 
 def _mapped_magnitudes(objective, instance, powers, s):
