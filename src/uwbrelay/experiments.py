@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rates
-from .optimizer import OptimizerSettings, aligned_split, optimize_cutset, optimize_pdf
+from .optimizer import (OptimizerSettings, aligned_split, optimize_cutset,
+                        optimize_degraded, optimize_pdf)
 from .rates import PowerBudget, RateReport, RelayChannelInstance
 from .svchannel import (PathlossParameters, SVParameters, TruncatedChannelWarning,
                         apply_pathloss, dft_response, discretize_taps,
@@ -35,32 +36,23 @@ LINK_RELAY_DEST = 3
 
 @dataclass(frozen=True)
 class Geometry:
-    """Node placement.  With collinear=True the relay sits on the
-    source-destination segment and the relay-destination distance is
-    d1 - d2; otherwise d3 must be given explicitly."""
+    """Node placement: the relay sits on the source-destination segment,
+    d2 from the source, so the relay-destination distance is d1 - d2."""
 
     d1: float
     d2: float
-    collinear: bool = True
-    d3: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.d1) and self.d1 > 0):
             raise ValueError(f"d1 must be > 0, got {self.d1!r}")
         if not (math.isfinite(self.d2) and self.d2 > 0):
             raise ValueError(f"d2 must be > 0, got {self.d2!r}")
-        if self.collinear:
-            if self.d3 is not None:
-                raise ValueError("d3 is derived when collinear; leave it unset")
-            if not self.d2 < self.d1:
-                raise ValueError("collinear placement needs d2 < d1")
-        else:
-            if self.d3 is None or not (math.isfinite(self.d3) and self.d3 > 0):
-                raise ValueError("non-collinear placement needs explicit d3 > 0")
+        if not self.d2 < self.d1:
+            raise ValueError("collinear placement needs d2 < d1")
 
     @property
     def relay_dest_distance(self) -> float:
-        return self.d1 - self.d2 if self.collinear else float(self.d3)
+        return self.d1 - self.d2
 
 
 def _cutset_label(rho: float) -> str:
@@ -208,8 +200,7 @@ def _cutset_with_product_candidate(instance, powers, settings, pdf_result):
     bounds are scored through different closed forms, and the cut-set
     can land an ulp below the achievable rate."""
     cut = optimize_cutset(instance, powers, settings)
-    product = np.abs(pdf_result.split.relay_corr) * np.abs(pdf_result.split.aux_corr)
-    root = np.sqrt(product)
+    root = pdf_result.magnitudes  # s = sqrt(a*b) per tone
     seeded_rate = rates.cutset_rate(instance, powers,
                                     aligned_split(instance, root, root))
     if seeded_rate > cut.rate:
@@ -231,7 +222,7 @@ def _solve_trial(config: ExperimentConfig, geometry: Geometry,
     powers, n_dest, _ = powers_from_config(config)
     settings = config.optimizer
     pdf_res = optimize_pdf(instance, powers, settings)
-    df_res = pdf_res.full_decode
+    df_res = optimize_degraded(instance, powers, settings)
     cuts = [_cutset_with_product_candidate(
         replace(instance, noise_corr=np.full(config.block_size, complex(rho))),
         powers, settings, pdf_res) for rho in rho_values]

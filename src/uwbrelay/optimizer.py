@@ -80,19 +80,21 @@ class OptimizationResult:
     evaluation of split; magnitudes (the per-tone s = sqrt(a*b)) and the
     tone-averaged terms (first = multiple-access, second = decode or
     broadcast) are the solver's optimum; lambda_trace holds
-    (lam, first, second) of every weighted solve and iterations counts
-    them; converged is False only when the weight search hit its probe
-    cap; full_decode is the degraded optimum of a pdf search."""
+    (lam, first, second) of every weighted solve; converged is False only
+    when the weight search hit its probe cap."""
 
     split: SplitParams
     rate: float
     magnitudes: np.ndarray
     terms: tuple
-    iterations: int
     converged: bool
     objective: str
     lambda_trace: list = field(default_factory=list)
-    full_decode: OptimizationResult | None = None
+
+    @property
+    def iterations(self) -> int:
+        """Number of weighted solves."""
+        return len(self.lambda_trace)
 
     @property
     def binding_term(self) -> str:
@@ -303,20 +305,16 @@ def _max_min(tones: _Tones, gain: np.ndarray, settings: OptimizerSettings):
     return best[0], best[1], trace, converged
 
 
-def _result(rate, instance, powers, objective, solved, relay_mag, aux_mag,
-            full_decode=None) -> OptimizationResult:
+def _result(rate, instance, powers, objective, solved, relay_mag,
+            aux_mag) -> OptimizationResult:
     """The result of a _max_min solve mapped back to the split with the
     given magnitudes; rate is the rates-module function that scores it."""
     s, terms, trace, converged = solved
     split = aligned_split(instance, relay_mag, aux_mag)
-    iterations = len(trace)
-    if full_decode is not None:
-        iterations += full_decode.iterations
-        converged = converged and full_decode.converged
     return OptimizationResult(
         split=split, rate=rate(instance, powers, split), magnitudes=s,
-        terms=terms, iterations=iterations, converged=converged, objective=objective,
-        lambda_trace=trace, full_decode=full_decode)
+        terms=terms, converged=converged, objective=objective,
+        lambda_trace=trace)
 
 
 def optimize_pdf(instance: RelayChannelInstance, powers: PowerBudget,
@@ -325,17 +323,15 @@ def optimize_pdf(instance: RelayChannelInstance, powers: PowerBudget,
     magnitudes with aligned phases.  Per tone the split is
     (a, b) = (t, 1) where the source-relay gain is at least the direct
     one, and (1, t), or (0, 0) at t = 0, where it is weaker (see the
-    module docstring).  The full-decode optimum (optimize_degraded) is
-    returned as full_decode."""
+    module docstring)."""
     settings = settings or OptimizerSettings()
-    full = optimize_degraded(instance, powers, settings)
     tones = _tones(instance, powers)
     solved = _max_min(tones, np.maximum(tones.sr, tones.sd), settings)
     t = solved[0] ** 2
     relay_first = tones.sr >= tones.sd
     return _result(rates.pdf_rate, instance, powers, "pdf", solved,
                    np.where(relay_first, t, t > 0.0),
-                   np.where(relay_first, 1.0, t), full_decode=full)
+                   np.where(relay_first, 1.0, t))
 
 
 def optimize_cutset(instance: RelayChannelInstance, powers: PowerBudget,
