@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rates
-from .optimizer import (OptimizerSettings, aligned_split, optimize_cutset,
-                        optimize_degraded, optimize_pdf)
+from .optimizer import (OptimizerSettings, optimize_cutset, optimize_degraded,
+                        optimize_pdf)
 from .rates import PowerBudget, RateReport, RelayChannelInstance
 from .svchannel import (PathlossParameters, SVParameters, TruncatedChannelWarning,
                         apply_pathloss, dft_response, discretize_taps,
@@ -192,22 +192,6 @@ def build_instance(config: ExperimentConfig, geometry: Geometry, rho: float,
         noise_corr=np.full(config.block_size, complex(rho)))
 
 
-def _cutset_with_product_candidate(instance, powers, settings, pdf_result):
-    """Cut-set optimum, additionally evaluated at the product profile of
-    the achievable optimum.  The extra point is feasible for the same
-    maximization and dominates the achievable value term by term.  Both
-    optima are exact, so the extra point only catches rounding: the two
-    bounds are scored through different closed forms, and the cut-set
-    can land an ulp below the achievable rate."""
-    cut = optimize_cutset(instance, powers, settings)
-    root = pdf_result.magnitudes  # s = sqrt(a*b) per tone
-    seeded_rate = rates.cutset_rate(instance, powers,
-                                    aligned_split(instance, root, root))
-    if seeded_rate > cut.rate:
-        return seeded_rate, cut, True
-    return cut.rate, cut, False
-
-
 def _solve_trial(config: ExperimentConfig, geometry: Geometry,
                  trial_index: int, rho_values):
     """The work every trial shares: the correlation-independent bounds
@@ -216,16 +200,16 @@ def _solve_trial(config: ExperimentConfig, geometry: Geometry,
     per-node power), since without a relay only one node transmits.
 
     Returns (instance, powers, pdf_res, df_res, cuts, direct_rate); the
-    instance carries rho_values[0] and cuts holds one
-    _cutset_with_product_candidate triple per correlation value."""
+    instance carries rho_values[0] and cuts holds one optimize_cutset
+    result per correlation value."""
     instance = build_instance(config, geometry, rho_values[0], trial_index)
     powers, n_dest, _ = powers_from_config(config)
     settings = config.optimizer
     pdf_res = optimize_pdf(instance, powers, settings)
     df_res = optimize_degraded(instance, powers, settings)
-    cuts = [_cutset_with_product_candidate(
+    cuts = [optimize_cutset(
         replace(instance, noise_corr=np.full(config.block_size, complex(rho))),
-        powers, settings, pdf_res) for rho in rho_values]
+        powers, settings) for rho in rho_values]
     direct_value = rates.direct_rate(instance.g_sd, 2.0 * powers.p_src, n_dest)
     return instance, powers, pdf_res, df_res, cuts, direct_value
 
@@ -233,28 +217,26 @@ def _solve_trial(config: ExperimentConfig, geometry: Geometry,
 def run_trial(config: ExperimentConfig, geometry: Geometry, rho: float,
               trial_index: int) -> RateReport:
     """Evaluate every bound on one seeded channel draw."""
-    instance, powers, pdf_res, df_res, cuts, direct_value = _solve_trial(
+    instance, powers, pdf_res, df_res, (cut_res,), direct_value = _solve_trial(
         config, geometry, trial_index, [rho])
-    cut_value, cut_res, product_used = cuts[0]
 
-    degraded_value = rates.degraded_capacity_rate(instance, powers,
-                                                  df_res.split.relay_corr)
+    degraded_value = rates.degraded_capacity_rate(
+        instance, powers, df_res.split.relay_mag, df_res.split.phase)
     revdeg_value = rates.reversely_degraded_capacity(instance, powers.p_src)
 
     mi = rates.mutual_information_terms(
         instance.g_sd, instance.g_sr, instance.g_rd, powers.p_src, powers.p_rel,
-        instance.n_dest, instance.n_relay,
-        pdf_res.split.relay_corr, pdf_res.split.aux_corr)
+        instance.n_dest, instance.n_relay, pdf_res.split)
     per_tone = {
         "mac_cut_snr": rates.mac_cut_snr(
             instance.g_sd, instance.g_rd, powers.p_src, powers.p_rel,
             instance.n_dest, pdf_res.split.relay_corr, pdf_res.split.aux_corr),
         "decode_cut_snr": rates.decode_cut_snr(
             instance.g_sd, instance.g_sr, powers.p_src, instance.n_dest,
-            instance.n_relay, pdf_res.split.relay_corr, pdf_res.split.aux_corr),
+            instance.n_relay, pdf_res.split.relay_mag, pdf_res.split.aux_mag),
         "broadcast_cut_snr": rates.broadcast_cut_snr(
             instance.g_sd, instance.g_sr, powers.p_src, instance.n_dest,
-            instance.n_relay, cut_res.split.relay_corr, cut_res.split.aux_corr,
+            instance.n_relay, cut_res.split.relay_mag, cut_res.split.aux_mag,
             instance.noise_corr),
         "cooperative_at_dest": mi.cooperative_at_dest,
         "auxiliary_at_relay": mi.auxiliary_at_relay,
@@ -267,10 +249,11 @@ def run_trial(config: ExperimentConfig, geometry: Geometry, rho: float,
         "cutset_converged": cut_res.converged,
         "pdf_binding": pdf_res.binding_term,
         "cutset_binding": cut_res.binding_term,
-        "cutset_product_candidate_used": product_used,
+        # always False: bench/tracing.py reads it until ROADMAP item 1
+        "cutset_product_candidate_used": False,
     }
     return RateReport(
-        pdf_rate=pdf_res.rate, df_rate=df_res.rate, cutset_rate=cut_value,
+        pdf_rate=pdf_res.rate, df_rate=df_res.rate, cutset_rate=cut_res.rate,
         degraded_capacity=degraded_value, revdeg_capacity=revdeg_value,
         direct_rate=direct_value, per_tone=per_tone, flags=flags)
 
@@ -339,8 +322,8 @@ def _sweep(config: ExperimentConfig, rho_values, cut_names, progress,
         for trial in range(config.trials):
             _, _, pdf_res, df_res, cuts, direct_value = _solve_trial(
                 config, geometry, trial, rho_values)
-            for name, (cut_value, _, _) in zip(cut_names, cuts):
-                samples[name][i, trial] = cut_value
+            for name, cut_res in zip(cut_names, cuts):
+                samples[name][i, trial] = cut_res.rate
             samples["pdf"][i, trial] = pdf_res.rate
             samples["df"][i, trial] = df_res.rate
             samples["direct"][i, trial] = direct_value

@@ -76,16 +76,15 @@ class OptimizerSettings:
 
 @dataclass
 class OptimizationResult:
-    """Solution of one bound optimization.  rate is the rates-module
-    evaluation of split; magnitudes (the per-tone s = sqrt(a*b)) and the
-    tone-averaged terms (first = multiple-access, second = decode or
-    broadcast) are the solver's optimum; lambda_trace holds
-    (lam, first, second) of every weighted solve; converged is False only
-    when the weight search hit its probe cap."""
+    """Solution of one bound optimization.  terms are the solver's
+    tone-averaged optimum (first = multiple-access, second = decode or
+    broadcast); rate is the rates-module score of split, which holds the
+    exact magnitudes, so it equals min(terms) to rounding; lambda_trace
+    holds (lam, first, second) of every weighted solve; converged is False
+    only when the weight search hit its probe cap."""
 
     split: SplitParams
     rate: float
-    magnitudes: np.ndarray
     terms: tuple
     converged: bool
     objective: str
@@ -119,8 +118,8 @@ class OptimizationResult:
 def align_phases(instance: RelayChannelInstance) -> np.ndarray:
     """Per-tone phase that makes the coherent cross term real and maximal.
 
-    Giving both split coefficients this phase puts the cross coefficient
-    sqrt(relay_corr) * sqrt(aux_corr) at exactly exp(j*theta) times the
+    As a SplitParams phase it puts the cross coefficient
+    sqrt(relay_corr) * sqrt(aux_corr) at exp(j*theta) times the
     magnitudes, so Re{coeff * g_sd * conj(g_rd)} hits its upper envelope
     |coeff| |g_sd| |g_rd| on every tone.
     """
@@ -128,16 +127,10 @@ def align_phases(instance: RelayChannelInstance) -> np.ndarray:
 
 
 def aligned_split(instance: RelayChannelInstance, relay_mag, aux_mag) -> SplitParams:
-    """Build a SplitParams from magnitudes in [0, 1] with phases aligned
-    to the instance."""
-    relay_mag = np.broadcast_to(np.asarray(relay_mag, dtype=float),
-                                (instance.block_size,))
-    aux_mag = np.broadcast_to(np.asarray(aux_mag, dtype=float),
-                              (instance.block_size,))
-    if np.any(relay_mag < 0) or np.any(aux_mag < 0):
-        raise ValueError("split magnitudes must be >= 0")
-    rotor = np.exp(1j * align_phases(instance))
-    return SplitParams(relay_mag * rotor, aux_mag * rotor)
+    """Build a SplitParams from magnitudes in [0, 1], broadcast to the
+    block, with the phase aligned to the instance."""
+    return SplitParams(*np.broadcast_arrays(relay_mag, aux_mag,
+                                            align_phases(instance)))
 
 
 class _Tones(NamedTuple):
@@ -309,12 +302,11 @@ def _result(rate, instance, powers, objective, solved, relay_mag,
             aux_mag) -> OptimizationResult:
     """The result of a _max_min solve mapped back to the split with the
     given magnitudes; rate is the rates-module function that scores it."""
-    s, terms, trace, converged = solved
+    _, terms, trace, converged = solved
     split = aligned_split(instance, relay_mag, aux_mag)
     return OptimizationResult(
-        split=split, rate=rate(instance, powers, split), magnitudes=s,
-        terms=terms, converged=converged, objective=objective,
-        lambda_trace=trace)
+        split=split, rate=rate(instance, powers, split), terms=terms,
+        converged=converged, objective=objective, lambda_trace=trace)
 
 
 def optimize_pdf(instance: RelayChannelInstance, powers: PowerBudget,

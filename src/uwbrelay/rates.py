@@ -10,7 +10,11 @@ A coding split is a pair of per-tone complex correlation coefficients
 inside the unit disc: relay_corr ties the auxiliary (cooperative) stream
 to the relay's transmission, aux_corr ties the source's fresh stream to
 the auxiliary one.  The fraction 1 - |relay_corr| (resp. 1 - |aux_corr|)
-is the innovation left at each stage.
+is the innovation left at each stage.  SplitParams holds a split in the
+polar form the rates depend on: the magnitudes and one per-tone phase,
+that of sqrt(relay_corr) * sqrt(aux_corr).  The decode and broadcast
+cuts get the exact magnitudes; only the multiple-access cut and the
+cooperative mutual information read the phase.
 
 Rates are in bits per complex sample (log base 2); multiply by the system
 bandwidth for bit/s.  Per-tone SNR helpers return raw values and never
@@ -32,8 +36,8 @@ LN2 = math.log(2.0)
 # numerically singular and are rejected by broadcast_cut_snr
 NOISE_CORR_LIMIT = 1.0 - 1e-9
 
-# slack allowed when validating unit-disc magnitudes before they are
-# renormalized onto the disc (absorbs |exp(j*theta)| rounding dust)
+# slack allowed when validating unit-disc magnitudes that callers pass
+# in before they are renormalized onto the disc
 _UNIT_DISC_TOL = 1e-9
 
 
@@ -187,22 +191,20 @@ class MutualInformationTerms:
 
 
 def mutual_information_terms(g_sd, g_sr, g_rd, p_src, p_rel, n_dest, n_relay,
-                             relay_corr, aux_corr) -> MutualInformationTerms:
+                             split: SplitParams) -> MutualInformationTerms:
     """Evaluate the four per-tone mutual informations behind the partial
-    decode-and-forward rate."""
+    decode-and-forward rate at a split; only the cooperative term reads
+    its phase."""
     g_sd = _as_complex(g_sd)
     g_sr = _as_complex(g_sr)
     g_rd = _as_complex(g_rd)
     if p_src <= 0 or p_rel <= 0 or n_dest <= 0 or n_relay <= 0:
         raise ValueError("powers and noise must be > 0")
-    relay_corr = _check_disc("relay_corr", _as_complex(relay_corr))
-    aux_corr = _check_disc("aux_corr", _as_complex(aux_corr))
-    relay_mag = np.abs(relay_corr)
-    aux_mag = np.abs(aux_corr)
-    relay_inno = 1.0 - relay_mag
+    aux_mag = split.aux_mag
+    relay_inno = 1.0 - split.relay_mag
     aux_inno = 1.0 - aux_mag
 
-    coeff = _corr_factor(relay_corr, aux_corr)
+    coeff = _corr_factor(split.relay_corr, split.aux_corr)
     coherent = np.abs(g_sd * coeff * math.sqrt(p_src) + g_rd * math.sqrt(p_rel)) ** 2
     self_noise = np.abs(g_sd) ** 2 * p_src * (relay_inno * aux_mag + aux_inno)
     cooperative = np.log1p(coherent / (self_noise + n_dest)) / LN2
@@ -323,17 +325,37 @@ class RelayChannelInstance:
 
 @dataclass
 class SplitParams:
-    """Per-tone coding split: complex correlation coefficients inside the
-    unit disc (see module docstring)."""
+    """Per-tone coding split in polar form: magnitudes relay_mag, aux_mag
+    in [0, 1] and the cross-coefficient phase (see module docstring)."""
 
-    relay_corr: np.ndarray
-    aux_corr: np.ndarray
+    relay_mag: np.ndarray
+    aux_mag: np.ndarray
+    phase: np.ndarray
 
     def __post_init__(self) -> None:
-        self.relay_corr = _check_disc("relay_corr", _as_complex(self.relay_corr))
-        self.aux_corr = _check_disc("aux_corr", _as_complex(self.aux_corr))
-        if self.relay_corr.size != self.aux_corr.size:
-            raise ValueError("relay_corr and aux_corr must have equal length")
+        for name in ("relay_mag", "aux_mag", "phase"):
+            value = getattr(self, name)
+            # numpy would drop a complex value's imaginary part with a warning
+            if np.iscomplexobj(value) or not np.all(np.isfinite(value)):
+                raise InvalidParameterError(f"{name} must be real and finite")
+            setattr(self, name, np.atleast_1d(np.array(value, dtype=float)))
+        for name in ("relay_mag", "aux_mag"):
+            mags = getattr(self, name)
+            if not np.all((mags >= 0.0) & (mags <= 1.0 + _UNIT_DISC_TOL)):
+                raise InvalidParameterError(f"{name} must lie in [0, 1]")
+            setattr(self, name, np.minimum(mags, 1.0))
+        if not self.relay_mag.size == self.aux_mag.size == self.phase.size:
+            raise ValueError("relay_mag, aux_mag and phase must have equal length")
+
+    @property
+    def relay_corr(self) -> np.ndarray:
+        """relay_mag * exp(j*phase)."""
+        return self.relay_mag * np.exp(1j * self.phase)
+
+    @property
+    def aux_corr(self) -> np.ndarray:
+        """aux_mag * exp(j*phase)."""
+        return self.aux_mag * np.exp(1j * self.phase)
 
 
 @dataclass
@@ -375,13 +397,13 @@ def pdf_rate(instance: RelayChannelInstance, powers: PowerBudget,
              split: SplitParams) -> float:
     """Partial decode-and-forward rate at a fixed split: the worse of the
     tone-averaged multiple-access and decode terms."""
-    if split.relay_corr.size != instance.block_size:
+    if split.relay_mag.size != instance.block_size:
         raise ValueError("split length must match the instance block size")
     mac = cap(mac_cut_snr(instance.g_sd, instance.g_rd, powers.p_src, powers.p_rel,
                           instance.n_dest, split.relay_corr, split.aux_corr))
     dec = cap(decode_cut_snr(instance.g_sd, instance.g_sr, powers.p_src,
                              instance.n_dest, instance.n_relay,
-                             split.relay_corr, split.aux_corr))
+                             split.relay_mag, split.aux_mag))
     return min(_tone_mean(mac), _tone_mean(dec))
 
 
@@ -389,30 +411,29 @@ def cutset_rate(instance: RelayChannelInstance, powers: PowerBudget,
                 split: SplitParams) -> float:
     """Max-flow min-cut upper bound at a fixed split: the worse of the
     tone-averaged multiple-access and broadcast terms."""
-    if split.relay_corr.size != instance.block_size:
+    if split.relay_mag.size != instance.block_size:
         raise ValueError("split length must match the instance block size")
     mac = cap(mac_cut_snr(instance.g_sd, instance.g_rd, powers.p_src, powers.p_rel,
                           instance.n_dest, split.relay_corr, split.aux_corr))
     bc = cap(broadcast_cut_snr(instance.g_sd, instance.g_sr, powers.p_src,
                                instance.n_dest, instance.n_relay,
-                               split.relay_corr, split.aux_corr,
+                               split.relay_mag, split.aux_mag,
                                instance.noise_corr))
     return min(_tone_mean(mac), _tone_mean(bc))
 
 
 def degraded_capacity_rate(instance: RelayChannelInstance, powers: PowerBudget,
-                           relay_corr) -> float:
-    """Capacity expression of the degraded channel at a fixed cooperative
-    coefficient: full decode at the relay (aux_corr magnitude 1), so the
-    decode term collapses to the source-to-relay innovation SNR."""
-    relay_corr = _as_complex(relay_corr)
-    if relay_corr.size != instance.block_size:
-        raise ValueError("relay_corr length must match the instance block size")
+                           relay_mag, phase) -> float:
+    """Capacity expression of the degraded channel at a cooperative
+    coefficient (relay_mag, phase as in SplitParams) with full decode at
+    the relay (aux_mag 1): the decode term is the source-relay innovation."""
+    split = SplitParams(relay_mag, np.ones(np.size(relay_mag)), phase)
+    if split.relay_mag.size != instance.block_size:
+        raise ValueError("relay_mag length must match the instance block size")
     mac = cap(mac_cut_snr(instance.g_sd, instance.g_rd, powers.p_src, powers.p_rel,
-                          instance.n_dest, relay_corr, 1.0))
-    relay_inno = 1.0 - np.abs(_check_disc("relay_corr", relay_corr))
-    dec = np.log1p(np.abs(instance.g_sr) ** 2 * relay_inno * powers.p_src
-                   / instance.n_relay) / LN2
+                          instance.n_dest, split.relay_corr, split.aux_corr))
+    dec = np.log1p(np.abs(instance.g_sr) ** 2 * (1.0 - split.relay_mag)
+                   * powers.p_src / instance.n_relay) / LN2
     return min(_tone_mean(mac), _tone_mean(dec))
 
 

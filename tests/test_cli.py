@@ -274,11 +274,11 @@ optimizer.tone_grid_points = 41
 PINNED_SHA256 = {
     "channel_taps.csv": "78a8f22f15e05fd881a61cfb643f0a20b48103898b6a7703c2d7f58dae73f7d0",
     "channel_response.csv": "840c58583e58debc1d3890969b703a9861b5ad5a8dc404c55643a4196b59b26d",
-    "bounds.csv": "14eccddb2c24c2eeaece0fd610e3292dcb8073d7661efb1ff5f646b84ba8bbe5",
-    "bounds_per_tone.csv": "91f7a76463dc55e1d4ffed8dde4a2a05ca2c4a1364491edddc4fa172de7375ce",
-    "sweep_distance.csv": "0d92390d4c29a9cb4df160d2339658337e8eb1d8743143b8b81f91d7db559562",
+    "bounds.csv": "2c1a1c776c35365f03c57755c447f118b38a242fce469a7712c08c008c0ad329",
+    "bounds_per_tone.csv": "0b896bef4245e4c1061b24f7e48ff64cbe60c1b51094c4751391750c204b2132",
+    "sweep_distance.csv": "02357b1f5ca27ae6dd42614095b9cea2adafde6a2742aff504127c5606009aac",
     "sweep_distance.svg": "07581cabdafb9ab48375aba664bb45feefd0856fed39ca4c0809ac16823a43b4",
-    "sweep_rho.csv": "a4fbdcad9febb45fa2ca77f2c3f53e402d03dacdb95ea34e16470a203377a86c",
+    "sweep_rho.csv": "8ca5d6daf1a107d0ddbb5dc83a2be14e46a9ebc04621738b1b189495e03105a0",
     "sweep_rho.svg": "dd4869be9988b5d6d5467eadaa78aabd20376570cbd535fa509a13302db38ed0",
 }
 

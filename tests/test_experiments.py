@@ -118,6 +118,8 @@ def test_run_trial_is_deterministic_and_consistent():
     b = run_trial(config, Geometry(3.0, 1.0), 0.5, trial_index=1)
     assert a.rows() == b.rows()
     assert a.df_rate <= a.pdf_rate + 1e-12
+    # the degraded-channel closed form at the df optimum is the df rate
+    assert a.degraded_capacity == pytest.approx(a.df_rate, rel=1e-12)
     assert a.pdf_rate <= a.cutset_rate + 1e-9
     # per-tone diagnostics are evaluated at the reported optimal split, so
     # they reproduce the scalar achievable rate

@@ -71,11 +71,20 @@ def test_aligned_split_shapes_and_guards():
     instance = make_instance([1.0, 2.0], [1.0, 1.0], [1.0, 1.0j])
     split = aligned_split(instance, 0.25, [0.5, 1.0])
     assert split.relay_corr.shape == (2,)
-    assert np.allclose(np.abs(split.relay_corr), 0.25)
-    assert np.allclose(np.abs(split.aux_corr), [0.5, 1.0])
-    assert np.allclose(np.angle(split.relay_corr), align_phases(instance))
+    # the polar split keeps the magnitudes and the aligned phase exactly
+    assert np.all(split.relay_mag == 0.25)
+    assert np.array_equal(split.aux_mag, [0.5, 1.0])
+    assert np.array_equal(split.phase, align_phases(instance))
+    # the derived coefficients are mag * exp(j*theta) to an ulp
+    rotor = np.exp(1j * align_phases(instance))
+    ulp = np.finfo(float).eps
+    assert np.all(np.abs(split.relay_corr - 0.25 * rotor) <= 0.25 * ulp)
+    assert np.all(np.abs(split.aux_corr - [0.5, 1.0] * rotor) <= ulp)
     with pytest.raises(ValueError):
         aligned_split(instance, -0.1, 0.5)
+    # numpy would keep only the real part of a complex magnitude
+    with pytest.raises(ValueError):
+        aligned_split(instance, 0.5 + 0.1j, 0.5)
 
 
 def test_single_tone_golden_values():
@@ -498,18 +507,18 @@ def test_weighted_solve_count_on_the_block128_draws():
 
 @pytest.mark.parametrize("objective", sorted(OPTIMIZERS))
 def test_reported_rate_is_the_solver_optimum_to_rounding(objective):
-    # rate scores the aligned split through the rates module, so it differs
-    # from the solver's min(terms) only by rounding, mostly the aligned
-    # phases' unit-modulus error scaled by large gains (up to 1.4e-11
-    # relative here, on trial 6 at 0.3 m).  The budget lets reported rates
-    # move by that rounding while the solver's values do not
     config = ExperimentConfig(block_size=128, trials=1)
     powers = powers_from_config(config)[0]
     near_source = [(build_instance(config, Geometry(config.d1, 0.3), 0.0, trial),
                     powers) for trial in range(8)]
+    ulps = 4.0 * np.finfo(float).eps
     for instance, powers in CERTIFICATE_CASES + near_source:
         result = OPTIMIZERS[objective](instance, powers)
-        assert abs(result.rate - min(result.terms)) <= 1e-10 * result.rate
+        assert abs(result.rate - min(result.terms)) <= ulps * result.rate
+        # so dual_gap certifies the reported rate, not only the terms
+        upper = min(lam * first + (1.0 - lam) * second
+                    for lam, first, second in result.lambda_trace)
+        assert upper - result.rate <= result.dual_gap + ulps * result.rate
 
 
 def _mapped_magnitudes(objective, instance, powers, s):
@@ -538,22 +547,20 @@ def test_one_dimensional_terms_equal_the_rates_closed_forms(objective):
         s = rng.random(instance.block_size)
         s[rng.random(s.size) < 0.1] = 0.0
         s[rng.random(s.size) < 0.1] = 1.0
-        relay_mag, aux_mag = _mapped_magnitudes(objective, instance, powers, s)
+        split = aligned_split(instance, *_mapped_magnitudes(objective, instance,
+                                                            powers, s))
         mac = rates.mac_cut_snr(instance.g_sd, instance.g_rd, powers.p_src,
                                 powers.p_rel, instance.n_dest,
-                                *_split_arrays(instance, relay_mag, aux_mag))
-        # the decode and broadcast cuts read only the split magnitudes, so
-        # they get them unrotated: an aligned coefficient of magnitude 1 is 1
-        # only to an ulp, which at M ~ 1e5 moves a term by ~1e-11 bits, and
-        # a term that is exactly 0 (s = 1) then matches exactly
+                                split.relay_corr, split.aux_corr)
         if objective == "cutset":
             other = rates.broadcast_cut_snr(
                 instance.g_sd, instance.g_sr, powers.p_src, instance.n_dest,
-                instance.n_relay, relay_mag, aux_mag, instance.noise_corr)
+                instance.n_relay, split.relay_mag, split.aux_mag,
+                instance.noise_corr)
         else:
             other = rates.decode_cut_snr(
                 instance.g_sd, instance.g_sr, powers.p_src, instance.n_dest,
-                instance.n_relay, relay_mag, aux_mag)
+                instance.n_relay, split.relay_mag, split.aux_mag)
         first = np.log1p(base + cross * s) / rates.LN2
         second = np.log1p(gain * (1.0 - s * s)) / rates.LN2
         np.testing.assert_allclose(first, rates.cap(mac), rtol=1e-12, atol=0.0)

@@ -88,7 +88,9 @@ def test_identity_decode_equals_mi_sum():
     for _ in range(20):
         g_sd, g_sr, rc, ac, _, p, n, n1 = _random_tuples(rng, 100)
         lhs = cap(decode_cut_snr(g_sd, g_sr, p, n, n1, rc, ac))
-        mi = mutual_information_terms(g_sd, g_sr, g_sd, p, p, n, n1, rc, ac)
+        split = SplitParams(np.abs(rc), np.abs(ac),
+                            np.angle(np.sqrt(rc) * np.sqrt(ac)))
+        mi = mutual_information_terms(g_sd, g_sr, g_sd, p, p, n, n1, split)
         rhs = mi.auxiliary_at_relay + mi.fresh_at_dest
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst <= 1e-12
@@ -114,10 +116,18 @@ def test_broadcast_rejects_near_singular_noise_corr():
 
 
 def test_unit_disc_overshoot_is_renormalized_or_rejected():
-    split = SplitParams([1.0 + 5e-10], [0.5])
-    assert abs(split.relay_corr[0]) == 1.0
+    split = SplitParams([1.0 + 5e-10], [0.5], [0.3])
+    assert split.relay_mag[0] == 1.0
+    assert abs(split.relay_corr[0]) == pytest.approx(1.0, rel=0, abs=1e-15)
     with pytest.raises(InvalidParameterError):
-        SplitParams([1.0 + 1e-8], [0.5])
+        SplitParams([1.0 + 1e-8], [0.5], [0.3])
+    with pytest.raises(InvalidParameterError):
+        SplitParams([0.5], [-1e-12], [0.3])
+    # numpy would drop the imaginary part of a complex magnitude or phase
+    with pytest.raises(InvalidParameterError):
+        SplitParams(np.array([0.5 + 0.5j]), [0.5], [0.3])
+    with pytest.raises(InvalidParameterError):
+        SplitParams([0.5], [0.5], [0.3j])
 
 
 def test_degraded_noise_correlation_value_and_flags():
@@ -159,7 +169,7 @@ def test_correlation_constructions_reject_zero_gains():
 def test_degraded_capacity_hand_value():
     instance = make_instance(1.0, 2.0, 1.0)
     powers = PowerBudget(p_src=1.0, p_rel=1.0)
-    value = degraded_capacity_rate(instance, powers, [0.0])
+    value = degraded_capacity_rate(instance, powers, [0.0], [0.0])
     assert value == pytest.approx(math.log2(3.0), rel=1e-14)
 
 
@@ -173,9 +183,10 @@ def test_degraded_capacity_equals_pdf_at_full_decode():
                                  n_relay=float(10.0 ** rng.uniform(-0.5, 0.5)))
         powers = PowerBudget(p_src=float(10.0 ** rng.uniform(-0.5, 1.0)),
                              p_rel=float(10.0 ** rng.uniform(-0.5, 1.0)))
-        rc = rng.uniform(0, 1, k) * np.exp(2j * math.pi * rng.uniform(size=k))
-        via_closed_form = degraded_capacity_rate(instance, powers, rc)
-        via_split = pdf_rate(instance, powers, SplitParams(rc, np.ones(k)))
+        mag = rng.uniform(0, 1, k)
+        phase = 2.0 * math.pi * rng.uniform(size=k) - math.pi
+        via_closed_form = degraded_capacity_rate(instance, powers, mag, phase)
+        via_split = pdf_rate(instance, powers, SplitParams(mag, np.ones(k), phase))
         assert via_split == pytest.approx(via_closed_form, abs=1e-12)
 
 
@@ -285,13 +296,13 @@ def test_instance_validation():
 def test_rates_reject_split_length_mismatch():
     instance = make_instance([1.0, 2.0], [1.0, 1.0], [1.0, 2.0])
     powers = PowerBudget(p_src=1.0, p_rel=1.0)
-    short = SplitParams([0.5], [0.5])
+    short = SplitParams([0.5], [0.5], [0.0])
     with pytest.raises(ValueError):
         pdf_rate(instance, powers, short)
     with pytest.raises(ValueError):
         cutset_rate(instance, powers, short)
     with pytest.raises(ValueError):
-        degraded_capacity_rate(instance, powers, [0.5])
+        degraded_capacity_rate(instance, powers, [0.5], [0.0])
 
 
 def test_reversely_degraded_capacity_is_direct_rate():
@@ -312,8 +323,9 @@ def test_direct_rate_accepts_frequency_response():
 
 def test_mutual_information_terms_shapes():
     mi = mutual_information_terms(np.ones(4), np.ones(4), np.ones(4),
-                                  1.0, 1.0, 1.0, 1.0, np.full(4, 0.5),
-                                  np.full(4, 0.5))
+                                  1.0, 1.0, 1.0, 1.0,
+                                  SplitParams(np.full(4, 0.5), np.full(4, 0.5),
+                                              np.zeros(4)))
     for arr in (mi.cooperative_at_dest, mi.auxiliary_at_relay,
                 mi.auxiliary_at_dest, mi.fresh_at_dest):
         assert arr.shape == (4,)
