@@ -108,6 +108,13 @@ def test_canonical_text_is_a_fixpoint():
     assert "oracle.seed = 3" in text
 
 
+def test_default_signature_is_pinned():
+    # Manifests identify a run by this hash: any change to key names,
+    # order or value formatting in canonical_text breaks it.
+    assert config_signature(default_config()) == (
+        "a669005c491269cc4bf0fa7a223378164207de3057e5d5ef4a6c0ab2ba5900ca")
+
+
 def test_signature_tracks_content():
     base = config_signature(default_config())
     changed = config_signature(parse_config_text("experiment.trials = 9"))
