@@ -1,9 +1,10 @@
 """Flat key-value configuration files.
 
 The format is one `section.key = value` assignment per line, `#` comments
-and blank lines ignored.  Every key has a default, so an empty file is a
-valid configuration.  Lists are comma separated.  Unknown keys and bad
-values fail fast, naming the offending key.
+and blank lines ignored.  The keys are the settings dataclasses' fields,
+so every key has a default and an empty file is a valid configuration.
+Lists are comma separated.  Unknown or repeated keys and bad values fail
+fast, naming the offending key.
 
 The canonical dump (canonical_text) writes every key in a fixed order
 with full-precision values; its hash identifies a configuration in sweep
@@ -14,7 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .experiments import ExperimentConfig
 from .optimizer import OptimizerSettings, _grid_steps
@@ -52,37 +55,33 @@ class AppConfig:
     oracle: OracleSettings
 
 
-# key -> (value kind, target section, field)
-_KEYS = {
-    "experiment.psd_tx_dbm_per_mhz": ("float", "experiment", "psd_tx_dbm_per_mhz"),
-    "experiment.psd_noise_dbm_per_mhz": ("float", "experiment", "psd_noise_dbm_per_mhz"),
-    "experiment.bandwidth_mhz": ("float", "experiment", "bandwidth_mhz"),
-    "experiment.block_size": ("int", "experiment", "block_size"),
-    "experiment.trials": ("int", "experiment", "trials"),
-    "experiment.master_seed": ("int", "experiment", "master_seed"),
-    "experiment.rho_values": ("float_list", "experiment", "rho_values"),
-    "experiment.d2_grid": ("float_list", "experiment", "d2_grid"),
-    "experiment.d1": ("float", "experiment", "d1"),
-    "sv.cluster_arrival_rate": ("float", "sv", "cluster_arrival_rate"),
-    "sv.ray_arrival_rate": ("float", "sv", "ray_arrival_rate"),
-    "sv.cluster_decay": ("float", "sv", "cluster_decay"),
-    "sv.ray_decay": ("float", "sv", "ray_decay"),
-    "sv.mean_cluster_count": ("float", "sv", "mean_cluster_count"),
-    "sv.max_delay": ("float", "sv", "max_delay"),
-    "pathloss.ref_loss_db": ("float", "pathloss", "ref_loss_db"),
-    "pathloss.ref_distance": ("float", "pathloss", "ref_distance"),
-    "pathloss.exponent": ("float", "pathloss", "exponent"),
-    "pathloss.shadowing_sigma_db": ("float", "pathloss", "shadowing_sigma_db"),
-    "optimizer.tone_grid_points": ("int", "optimizer", "tone_grid_points"),
-    "optimizer.lambda_tolerance": ("float", "optimizer", "lambda_tolerance"),
-    "optimizer.max_lambda_iters": ("int", "optimizer", "max_lambda_iters"),
-    "optimizer.refine_steps": ("int", "optimizer", "refine_steps"),
-    "oracle.k1_instances": ("int", "oracle", "k1_instances"),
-    "oracle.k2_instances": ("int", "oracle", "k2_instances"),
-    "oracle.resolution": ("float", "oracle", "resolution"),
-    "oracle.tolerance_bits": ("float", "oracle", "tolerance_bits"),
-    "oracle.seed": ("int", "oracle", "seed"),
+# section -> (settings dataclass, attribute path of its instance in an AppConfig)
+_SECTIONS = {
+    "experiment": (ExperimentConfig, "experiment"),
+    "sv": (SVParameters, "experiment.sv"),
+    "pathloss": (PathlossParameters, "experiment.pl"),
+    "optimizer": (OptimizerSettings, "experiment.optimizer"),
+    "oracle": (OracleSettings, "oracle"),
 }
+_KINDS = {"int": "int", "float": "float", "tuple": "float_list"}
+
+
+def _registry() -> dict[str, tuple[str, str, str]]:
+    """key -> (value kind, holder path, field), in declaration order."""
+    paths = {path for _, path in _SECTIONS.values()}
+    keys = {}
+    for section, (cls, path) in _SECTIONS.items():
+        for f in fields(cls):
+            if f"{path}.{f.name}" in paths:
+                continue
+            if f.type not in _KINDS:
+                raise TypeError(f"{cls.__name__}.{f.name}: annotation {f.type!r} "
+                                f"is not one of {sorted(_KINDS)}")
+            keys[f"{section}.{f.name}"] = (_KINDS[f.type], path, f.name)
+    return keys
+
+
+_KEYS = _registry()
 
 
 def _convert(key: str, kind: str, raw: str):
@@ -91,18 +90,18 @@ def _convert(key: str, kind: str, raw: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "float_list":
-            items = [part.strip() for part in raw.split(",")]
-            if items == [""]:
-                raise ValueError("empty list")
-            return tuple(float(part) for part in items)
+        items = [part.strip() for part in raw.split(",")]
+        if items == [""]:
+            raise ValueError("empty list")
+        return tuple(float(part) for part in items)
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind}") from None
-    raise ConfigError(f"{key}: unsupported kind {kind!r}")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> AppConfig:
-    values: dict[str, object] = {}
+    # holder path -> constructor arguments; "" is the AppConfig itself
+    kwargs: dict[str, dict] = defaultdict(dict)
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -113,29 +112,28 @@ def parse_config_text(text: str, source: str = "<config>") -> AppConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        kind, _, _ = _KEYS[key]
-        values[key] = _convert(key, kind, raw)
-
-    sections: dict[str, dict] = {"experiment": {}, "sv": {}, "pathloss": {},
-                                 "optimizer": {}, "oracle": {}}
-    for key, value in values.items():
-        _, section, fieldname = _KEYS[key]
-        sections[section][fieldname] = value
+        if key in first_line:
+            raise ConfigError(f"{source}:{lineno}: repeated key {key!r} "
+                              f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
+        kind, path, fieldname = _KEYS[key]
+        kwargs[path][fieldname] = _convert(key, kind, raw)
     try:
-        sv = SVParameters(**sections["sv"])
-        pl = PathlossParameters(**sections["pathloss"])
-        opt = OptimizerSettings(**sections["optimizer"])
-        experiment = ExperimentConfig(sv=sv, pl=pl, optimizer=opt,
-                                      **sections["experiment"])
-        oracle = OracleSettings(**sections["oracle"])
+        # nested sections first, so each holder receives built instances
+        for cls, path in sorted(_SECTIONS.values(), key=lambda e: -e[1].count(".")):
+            holder, _, attr = path.rpartition(".")
+            kwargs[holder][attr] = cls(**kwargs[path])
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    return AppConfig(experiment=experiment, oracle=oracle)
+    return AppConfig(**kwargs[""])
 
 
 def load_config(path) -> AppConfig:
-    with open(path) as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_config_text(fh.read(), source=str(path))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def default_config() -> AppConfig:
@@ -144,12 +142,9 @@ def default_config() -> AppConfig:
 
 def canonical_text(config: AppConfig) -> str:
     """Every key in registry order with full-precision values."""
-    exp, orc = config.experiment, config.oracle
-    holders = {"experiment": exp, "sv": exp.sv, "pathloss": exp.pl,
-               "optimizer": exp.optimizer, "oracle": orc}
     lines = []
-    for key, (kind, section, fieldname) in _KEYS.items():
-        value = getattr(holders[section], fieldname)
+    for key, (kind, path, fieldname) in _KEYS.items():
+        value = attrgetter(f"{path}.{fieldname}")(config)
         if kind == "float_list":
             rendered = ", ".join(repr(float(v)) for v in value)
         elif kind == "float":

@@ -181,6 +181,15 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     worse.write_text("experiment.trials = nope\n")
     assert _run(["bounds", "--config", str(worse),
                  "--output-dir", str(tmp_path)]) == 2
+    # a key set twice names both lines instead of keeping the last value
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("experiment.trials = 5\nexperiment.trials = 7\n")
+    capsys.readouterr()
+    assert _run(["bounds", "--config", str(twice),
+                 "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "twice.cfg:2: repeated key 'experiment.trials' (first set on line 1)" in err
     # a correlation the cut-set step would reject is caught at load time
     limit = tmp_path / "limit.cfg"
     limit.write_text("experiment.rho_values = 0.9999999995\n")
@@ -260,6 +269,17 @@ def test_version_flag(capsys):
         _run(["--version"])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.startswith("uwbrelay ")
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\n")
+    for path in (tmp_path / "missing.cfg", tmp_path, binary):
+        assert _run(["bounds", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"uwbrelay: configuration error: cannot read {path}: " in err
+    assert not (tmp_path / "out" / "bounds.csv").exists()
 
 
 # SHA-256 of every CSV and SVG the commands below write with PINNED_CFG;

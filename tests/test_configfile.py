@@ -1,9 +1,11 @@
 """Configuration parsing, canonical serialization and signatures."""
 
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 
+from uwbrelay import configfile
 from uwbrelay.configfile import (
     ANNOTATED_DEFAULTS,
     ConfigError,
@@ -14,6 +16,7 @@ from uwbrelay.configfile import (
     load_config,
     parse_config_text,
 )
+from uwbrelay.svchannel import SVParameters
 
 
 def test_empty_text_yields_defaults():
@@ -31,10 +34,36 @@ def test_annotated_defaults_are_the_defaults():
     assert config_signature(config) == config_signature(default_config())
 
 
+def test_annotated_defaults_set_every_key_once():
+    keys = [line.split("=", 1)[0].strip() for line in ANNOTATED_DEFAULTS.splitlines()
+            if line.split("#", 1)[0].strip()]
+    assert sorted(keys) == sorted(configfile._KEYS)
+
+
 def test_shipped_default_file_matches_defaults():
     path = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
     assert path.is_file()
+    assert path.read_bytes() == ANNOTATED_DEFAULTS.encode()
     assert config_signature(load_config(path)) == config_signature(default_config())
+
+
+@dataclass(frozen=True)
+class _TextSettings:
+    label: str = "x"
+
+
+@dataclass(frozen=True)
+class _UnlistedHolder:
+    sv: SVParameters = field(default_factory=SVParameters)
+
+
+@pytest.mark.parametrize("cls, name", [(_TextSettings, "label"), (_UnlistedHolder, "sv")])
+def test_registry_rejects_fields_that_are_not_keys(monkeypatch, cls, name):
+    # neither an int/float/tuple nor a nested section listed in the table:
+    # the field must not silently drop out of the key set
+    monkeypatch.setitem(configfile._SECTIONS, "extra", (cls, "extra"))
+    with pytest.raises(TypeError, match=rf"{cls.__name__}\.{name}"):
+        configfile._registry()
 
 
 def test_unknown_key_names_key_and_line():
@@ -48,6 +77,13 @@ def test_bad_value_names_key():
         parse_config_text("experiment.trials = banana")
     with pytest.raises(ConfigError, match=r"sv\.ray_decay"):
         parse_config_text("sv.ray_decay = 1..2")
+
+
+def test_repeated_key_names_key_and_both_lines():
+    text = "experiment.trials = 5\n# again\nexperiment.trials = 7\n"
+    with pytest.raises(ConfigError, match=r"<config>:3: repeated key 'experiment\.trials' "
+                                          r"\(first set on line 1\)"):
+        parse_config_text(text)
 
 
 def test_missing_assignment_reported_with_line():
