@@ -261,8 +261,8 @@ def run_trial(config: ExperimentConfig, geometry: Geometry, rho: float,
 @dataclass
 class SweepResult:
     """Aggregated sweep: per bound, the mean and standard error of the
-    rate at every axis value.  samples optionally keeps the raw
-    (points, trials) values behind the aggregates."""
+    rate at every axis value.  samples keeps the raw (points, trials)
+    values behind the aggregates; the sweeps always fill it."""
 
     axis_name: str
     axis_values: np.ndarray
@@ -310,8 +310,7 @@ def _aggregate(samples: np.ndarray):
     return mean, stderr
 
 
-def _sweep(config: ExperimentConfig, rho_values, cut_names, progress,
-           keep_samples: bool) -> SweepResult:
+def _sweep(config: ExperimentConfig, rho_values, cut_names, progress) -> SweepResult:
     """Distance sweep with one cut-set series per correlation value (named
     by cut_names) plus the correlation-independent pdf, df and direct
     series."""
@@ -333,23 +332,20 @@ def _sweep(config: ExperimentConfig, rho_values, cut_names, progress,
     for n in names:
         means[n], stderrs[n] = _aggregate(samples[n])
     return SweepResult("source_relay_distance_m", np.asarray(config.d2_grid),
-                       means, stderrs, config.trials,
-                       samples=samples if keep_samples else None)
+                       means, stderrs, config.trials, samples)
 
 
-def sweep_distance(config: ExperimentConfig, progress=None,
-                   keep_samples: bool = False) -> SweepResult:
+def sweep_distance(config: ExperimentConfig, progress=None) -> SweepResult:
     """Move the relay along the source-destination segment and average
     each bound over the trials.  The upper bound uses uncorrelated noises
     here; correlation effects are sweep_rho's job."""
-    return _sweep(config, [0.0], ["cutset"], progress, keep_samples)
+    return _sweep(config, [0.0], ["cutset"], progress)
 
 
-def sweep_rho(config: ExperimentConfig, progress=None,
-              keep_samples: bool = False) -> SweepResult:
+def sweep_rho(config: ExperimentConfig, progress=None) -> SweepResult:
     """Distance sweep with one cut-set curve per noise-correlation value.
     The achievable curves do not depend on the correlation and are
     computed once."""
     rho_list = list(config.rho_values)
     return _sweep(config, rho_list, [_cutset_label(rho) for rho in rho_list],
-                  progress, keep_samples)
+                  progress)

@@ -118,10 +118,10 @@ class OptimizationResult:
 def align_phases(instance: RelayChannelInstance) -> np.ndarray:
     """Per-tone phase that makes the coherent cross term real and maximal.
 
-    As a SplitParams phase it puts the cross coefficient
-    sqrt(relay_corr) * sqrt(aux_corr) at exp(j*theta) times the
-    magnitudes, so Re{coeff * g_sd * conj(g_rd)} hits its upper envelope
-    |coeff| |g_sd| |g_rd| on every tone.
+    As a SplitParams phase it makes SplitParams.coefficient
+    sqrt(relay_mag * aux_mag) * exp(j*theta), so
+    Re{coefficient * g_sd * conj(g_rd)} hits its upper envelope
+    |coefficient| |g_sd| |g_rd| on every tone.
     """
     return -np.angle(instance.g_sd * np.conj(instance.g_rd))
 

@@ -11,10 +11,11 @@ inside the unit disc: relay_corr ties the auxiliary (cooperative) stream
 to the relay's transmission, aux_corr ties the source's fresh stream to
 the auxiliary one.  The fraction 1 - |relay_corr| (resp. 1 - |aux_corr|)
 is the innovation left at each stage.  SplitParams holds a split in the
-polar form the rates depend on: the magnitudes and one per-tone phase,
-that of sqrt(relay_corr) * sqrt(aux_corr).  The decode and broadcast
-cuts get the exact magnitudes; only the multiple-access cut and the
-cooperative mutual information read the phase.
+polar form the rates depend on: the magnitudes and one per-tone phase.
+The decode and broadcast cuts get the exact magnitudes; the
+multiple-access cut and the cooperative mutual information read only the
+cross coefficient sqrt(relay_mag * aux_mag) * exp(j*phase)
+(SplitParams.coefficient), which equals sqrt(relay_corr) * sqrt(aux_corr).
 
 Rates are in bits per complex sample (log base 2); multiply by the system
 bandwidth for bit/s.  Per-tone SNR helpers return raw values and never
@@ -27,8 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .svchannel import FrequencyResponse
 
 LN2 = math.log(2.0)
 
@@ -76,32 +75,28 @@ def cap(snr):
     return float(out[0]) if np.isscalar(snr) or np.ndim(snr) == 0 else out
 
 
-def _corr_factor(relay_corr, aux_corr) -> np.ndarray:
-    """Effective complex coefficient of the coherent cross term: the
-    product of the per-factor principal square roots.  Splitting the roots
-    (rather than rooting the product) lets the coefficient reach any phase
-    in (-pi, pi], which the aligned-phase optimum requires."""
-    return np.sqrt(_as_complex(relay_corr)) * np.sqrt(_as_complex(aux_corr))
+def _mac_snr(g_sd, g_rd, p_src, p_rel, n_dest, coeff) -> np.ndarray:
+    """Multiple-access SNR at the cross coefficient coeff; no checks."""
+    cross = 2.0 * math.sqrt(p_src * p_rel) * np.real(coeff * g_sd * np.conj(g_rd))
+    return (np.abs(g_sd) ** 2 * p_src + np.abs(g_rd) ** 2 * p_rel + cross) / n_dest
 
 
 def mac_cut_snr(g_sd, g_rd, p_src, p_rel, n_dest, relay_corr, aux_corr) -> np.ndarray:
     """Per-tone SNR across the multiple-access cut (source and relay
-    transmitting coherently toward the destination).
+    transmitting coherently toward the destination) at the cross
+    coefficient sqrt(relay_corr) * sqrt(aux_corr).
 
     Returns the raw value: the cross term carries the sign induced by the
     split phases, and no clamping is ever applied.  Values below -1 would
     make the capacity undefined and raise InvalidParameterError; they are
     unreachable for splits inside the unit disc.
     """
-    g_sd = _as_complex(g_sd)
-    g_rd = _as_complex(g_rd)
     if p_src <= 0 or p_rel <= 0 or n_dest <= 0:
         raise ValueError("powers and noise must be > 0")
     relay_corr = _check_disc("relay_corr", _as_complex(relay_corr))
     aux_corr = _check_disc("aux_corr", _as_complex(aux_corr))
-    coeff = _corr_factor(relay_corr, aux_corr)
-    cross = 2.0 * math.sqrt(p_src * p_rel) * np.real(coeff * g_sd * np.conj(g_rd))
-    snr = (np.abs(g_sd) ** 2 * p_src + np.abs(g_rd) ** 2 * p_rel + cross) / n_dest
+    snr = _mac_snr(_as_complex(g_sd), _as_complex(g_rd), p_src, p_rel, n_dest,
+                   np.sqrt(relay_corr) * np.sqrt(aux_corr))
     if np.any(snr < -1.0):
         raise InvalidParameterError(
             f"multiple-access SNR below -1 (min {float(snr.min())!r}); "
@@ -204,8 +199,8 @@ def mutual_information_terms(g_sd, g_sr, g_rd, p_src, p_rel, n_dest, n_relay,
     relay_inno = 1.0 - split.relay_mag
     aux_inno = 1.0 - aux_mag
 
-    coeff = _corr_factor(split.relay_corr, split.aux_corr)
-    coherent = np.abs(g_sd * coeff * math.sqrt(p_src) + g_rd * math.sqrt(p_rel)) ** 2
+    coherent = np.abs(g_sd * split.coefficient * math.sqrt(p_src)
+                      + g_rd * math.sqrt(p_rel)) ** 2
     self_noise = np.abs(g_sd) ** 2 * p_src * (relay_inno * aux_mag + aux_inno)
     cooperative = np.log1p(coherent / (self_noise + n_dest)) / LN2
 
@@ -326,7 +321,8 @@ class RelayChannelInstance:
 @dataclass
 class SplitParams:
     """Per-tone coding split in polar form: magnitudes relay_mag, aux_mag
-    in [0, 1] and the cross-coefficient phase (see module docstring)."""
+    in [0, 1] and the cross-coefficient phase (see module docstring).
+    Scoring reads coefficient; relay_corr, aux_corr are read-only views."""
 
     relay_mag: np.ndarray
     aux_mag: np.ndarray
@@ -346,6 +342,11 @@ class SplitParams:
             setattr(self, name, np.minimum(mags, 1.0))
         if not self.relay_mag.size == self.aux_mag.size == self.phase.size:
             raise ValueError("relay_mag, aux_mag and phase must have equal length")
+
+    @property
+    def coefficient(self) -> np.ndarray:
+        """Cross coefficient sqrt(relay_mag * aux_mag) * exp(j*phase)."""
+        return np.sqrt(self.relay_mag * self.aux_mag) * np.exp(1j * self.phase)
 
     @property
     def relay_corr(self) -> np.ndarray:
@@ -389,37 +390,33 @@ class RateReport:
         return [(name, getattr(self, name)) for name in self._FIELDS]
 
 
-def _tone_mean(per_tone_bits: np.ndarray) -> float:
-    return float(np.mean(per_tone_bits))
+def _min_of_means(instance: RelayChannelInstance, powers: PowerBudget,
+                  split: SplitParams, second_cut_snr) -> float:
+    """The worse of the tone-averaged multiple-access term and the term of
+    the per-tone SNR second_cut_snr() returns."""
+    if split.relay_mag.size != instance.block_size:
+        raise ValueError("split length must match the instance block size")
+    mac = cap(_mac_snr(instance.g_sd, instance.g_rd, powers.p_src, powers.p_rel,
+                       instance.n_dest, split.coefficient))
+    return float(min(np.mean(mac), np.mean(cap(second_cut_snr()))))
 
 
 def pdf_rate(instance: RelayChannelInstance, powers: PowerBudget,
              split: SplitParams) -> float:
     """Partial decode-and-forward rate at a fixed split: the worse of the
     tone-averaged multiple-access and decode terms."""
-    if split.relay_mag.size != instance.block_size:
-        raise ValueError("split length must match the instance block size")
-    mac = cap(mac_cut_snr(instance.g_sd, instance.g_rd, powers.p_src, powers.p_rel,
-                          instance.n_dest, split.relay_corr, split.aux_corr))
-    dec = cap(decode_cut_snr(instance.g_sd, instance.g_sr, powers.p_src,
-                             instance.n_dest, instance.n_relay,
-                             split.relay_mag, split.aux_mag))
-    return min(_tone_mean(mac), _tone_mean(dec))
+    return _min_of_means(instance, powers, split, lambda: decode_cut_snr(
+        instance.g_sd, instance.g_sr, powers.p_src, instance.n_dest,
+        instance.n_relay, split.relay_mag, split.aux_mag))
 
 
 def cutset_rate(instance: RelayChannelInstance, powers: PowerBudget,
                 split: SplitParams) -> float:
     """Max-flow min-cut upper bound at a fixed split: the worse of the
     tone-averaged multiple-access and broadcast terms."""
-    if split.relay_mag.size != instance.block_size:
-        raise ValueError("split length must match the instance block size")
-    mac = cap(mac_cut_snr(instance.g_sd, instance.g_rd, powers.p_src, powers.p_rel,
-                          instance.n_dest, split.relay_corr, split.aux_corr))
-    bc = cap(broadcast_cut_snr(instance.g_sd, instance.g_sr, powers.p_src,
-                               instance.n_dest, instance.n_relay,
-                               split.relay_mag, split.aux_mag,
-                               instance.noise_corr))
-    return min(_tone_mean(mac), _tone_mean(bc))
+    return _min_of_means(instance, powers, split, lambda: broadcast_cut_snr(
+        instance.g_sd, instance.g_sr, powers.p_src, instance.n_dest,
+        instance.n_relay, split.relay_mag, split.aux_mag, instance.noise_corr))
 
 
 def degraded_capacity_rate(instance: RelayChannelInstance, powers: PowerBudget,
@@ -428,13 +425,9 @@ def degraded_capacity_rate(instance: RelayChannelInstance, powers: PowerBudget,
     coefficient (relay_mag, phase as in SplitParams) with full decode at
     the relay (aux_mag 1): the decode term is the source-relay innovation."""
     split = SplitParams(relay_mag, np.ones(np.size(relay_mag)), phase)
-    if split.relay_mag.size != instance.block_size:
-        raise ValueError("relay_mag length must match the instance block size")
-    mac = cap(mac_cut_snr(instance.g_sd, instance.g_rd, powers.p_src, powers.p_rel,
-                          instance.n_dest, split.relay_corr, split.aux_corr))
-    dec = np.log1p(np.abs(instance.g_sr) ** 2 * (1.0 - split.relay_mag)
-                   * powers.p_src / instance.n_relay) / LN2
-    return min(_tone_mean(mac), _tone_mean(dec))
+    return _min_of_means(instance, powers, split, lambda: (
+        np.abs(instance.g_sr) ** 2 * (1.0 - split.relay_mag)
+        * powers.p_src / instance.n_relay))
 
 
 def reversely_degraded_capacity(instance: RelayChannelInstance, p_src: float) -> float:
@@ -447,5 +440,4 @@ def direct_rate(g_sd, p_src: float, n_dest: float) -> float:
     """Tone-averaged rate of the direct link alone."""
     if p_src <= 0 or n_dest <= 0:
         raise ValueError("power and noise must be > 0")
-    gains = g_sd.gains if isinstance(g_sd, FrequencyResponse) else _as_complex(g_sd)
-    return _tone_mean(np.log1p(np.abs(gains) ** 2 * p_src / n_dest) / LN2)
+    return float(np.mean(np.log1p(np.abs(_as_complex(g_sd)) ** 2 * p_src / n_dest) / LN2))

@@ -196,10 +196,7 @@ def parse_sweep_csv(text: str):
     return axis_name, rate_name, groups
 
 
-_AXIS_LABELS = {
-    "source_relay_distance_m": "source to relay distance (m)",
-    "noise_correlation": "noise correlation magnitude",
-}
+_AXIS_LABELS = {"source_relay_distance_m": "source to relay distance (m)"}
 _RATE_LABELS = {
     "bits_per_sample": "rate (bits per sample)",
     "bits_per_second": "rate (bits per second)",

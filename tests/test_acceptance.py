@@ -69,7 +69,7 @@ SWEEP_CONFIG = ExperimentConfig(
 
 @pytest.fixture(scope="module")
 def rho_sweep():
-    return sweep_rho(SWEEP_CONFIG, keep_samples=True)
+    return sweep_rho(SWEEP_CONFIG)
 
 
 def test_criterion_1_algebraic_identities():

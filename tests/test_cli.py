@@ -295,10 +295,10 @@ PINNED_SHA256 = {
     "channel_taps.csv": "78a8f22f15e05fd881a61cfb643f0a20b48103898b6a7703c2d7f58dae73f7d0",
     "channel_response.csv": "840c58583e58debc1d3890969b703a9861b5ad5a8dc404c55643a4196b59b26d",
     "bounds.csv": "2c1a1c776c35365f03c57755c447f118b38a242fce469a7712c08c008c0ad329",
-    "bounds_per_tone.csv": "0b896bef4245e4c1061b24f7e48ff64cbe60c1b51094c4751391750c204b2132",
+    "bounds_per_tone.csv": "b309c339a8e1385334f015e0d57bdc29c5a65dd66dd5ac6c827923265569ad8e",
     "sweep_distance.csv": "02357b1f5ca27ae6dd42614095b9cea2adafde6a2742aff504127c5606009aac",
     "sweep_distance.svg": "07581cabdafb9ab48375aba664bb45feefd0856fed39ca4c0809ac16823a43b4",
-    "sweep_rho.csv": "8ca5d6daf1a107d0ddbb5dc83a2be14e46a9ebc04621738b1b189495e03105a0",
+    "sweep_rho.csv": "969289a9f6a8f70ffb6d0119a9627acfb558c6129e65a6d4fd78e575118276f6",
     "sweep_rho.svg": "dd4869be9988b5d6d5467eadaa78aabd20376570cbd535fa509a13302db38ed0",
 }
 

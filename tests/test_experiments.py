@@ -161,8 +161,7 @@ def test_sweep_rho_series_names_and_progress():
 def test_keep_samples_backs_the_aggregates():
     config = ExperimentConfig(**SMALL)
     plain = sweep_distance(config)
-    kept = sweep_distance(config, keep_samples=True)
-    assert plain.samples is None
+    kept = sweep_distance(config)
     assert sorted(kept.samples) == ["cutset", "df", "direct", "pdf"]
     for name, arr in kept.samples.items():
         assert arr.shape == (2, 2)  # (grid points, trials)
@@ -171,9 +170,8 @@ def test_keep_samples_backs_the_aggregates():
 
 
 def test_sweep_distance_is_sweep_rho_at_zero_correlation():
-    distance = sweep_distance(ExperimentConfig(**SMALL), keep_samples=True)
-    rho = sweep_rho(ExperimentConfig(**{**SMALL, "rho_values": (0.0,)}),
-                    keep_samples=True)
+    distance = sweep_distance(ExperimentConfig(**SMALL))
+    rho = sweep_rho(ExperimentConfig(**{**SMALL, "rho_values": (0.0,)}))
     label = {"cutset[rho=0]": "cutset"}
     assert rho.axis_name == distance.axis_name
     assert np.array_equal(rho.axis_values, distance.axis_values)

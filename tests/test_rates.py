@@ -28,7 +28,6 @@ from uwbrelay.rates import (
     reversely_degraded_capacity,
     reversely_degraded_noise_correlation,
 )
-from uwbrelay.svchannel import FrequencyResponse
 
 
 def test_cap_values():
@@ -293,6 +292,36 @@ def test_instance_validation():
     assert make_instance([1.0, 2.0], [1.0, 1.0], [1.0, 2.0]).block_size == 2
 
 
+def _edge_split(rng, n):
+    """Random polar split whose magnitudes include exactly 0 and 1 and
+    whose phases span [-3pi, 3pi], the branch cut at +-pi included."""
+    edges = [0.0, 1.0, 0.0, 1.0]
+    relay_mag = rng.permutation(np.r_[edges, rng.uniform(0, 1, n - 4)])
+    aux_mag = rng.permutation(np.r_[edges, rng.uniform(0, 1, n - 4)])
+    phase = rng.permutation(np.r_[-3, -1, 1, 3, rng.uniform(-3, 3, n - 4)] * math.pi)
+    return SplitParams(relay_mag, aux_mag, phase)
+
+
+def test_polar_scoring_matches_the_complex_split():
+    rng = np.random.default_rng(31)
+    p_src, p_rel, n_dest, n_relay = 1.3, 0.7, 0.8, 1.2
+    powers = PowerBudget(p_src=p_src, p_rel=p_rel)
+    for _ in range(20):
+        g_sd, g_sr, g_rd = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
+        rho = rng.uniform(0, 0.9, 32) * np.exp(2j * math.pi * rng.uniform(size=32))
+        instance = make_instance(g_sd, g_sr, g_rd, n_dest, n_relay, rho)
+        split = _edge_split(rng, 32)
+        rc, ac = split.relay_corr, split.aux_corr
+        assert split.coefficient == pytest.approx(np.sqrt(rc) * np.sqrt(ac), rel=1e-12)
+        mac = np.mean(cap(mac_cut_snr(g_sd, g_rd, p_src, p_rel, n_dest, rc, ac)))
+        dec = np.mean(cap(decode_cut_snr(g_sd, g_sr, p_src, n_dest, n_relay, rc, ac)))
+        bc = np.mean(cap(broadcast_cut_snr(g_sd, g_sr, p_src, n_dest, n_relay,
+                                           rc, ac, rho)))
+        assert pdf_rate(instance, powers, split) == pytest.approx(min(mac, dec), rel=1e-12)
+        assert cutset_rate(instance, powers, split) == pytest.approx(min(mac, bc),
+                                                                     rel=1e-12)
+
+
 def test_rates_reject_split_length_mismatch():
     instance = make_instance([1.0, 2.0], [1.0, 1.0], [1.0, 2.0])
     powers = PowerBudget(p_src=1.0, p_rel=1.0)
@@ -313,12 +342,6 @@ def test_reversely_degraded_capacity_is_direct_rate():
     # K = 1 sanity: unit gain and power at unit noise gives exactly 1 bit
     one = make_instance(1.0, 0.1, 1.0)
     assert reversely_degraded_capacity(one, 1.0) == 1.0
-
-
-def test_direct_rate_accepts_frequency_response():
-    gains = np.array([1.0, 2.0j])
-    assert direct_rate(FrequencyResponse(gains), 2.0, 0.5) == direct_rate(
-        gains, 2.0, 0.5)
 
 
 def test_mutual_information_terms_shapes():
