@@ -20,7 +20,8 @@ __version__ = "0.1.0"
 from .svchannel import (
     SVParameters, PathlossParameters, ContinuousImpulse, ChannelTaps,
     FrequencyResponse, DegenerateChannelError, TruncatedChannelWarning,
-    sample_impulse_response, discretize_taps, apply_pathloss, dft_response,
+    sample_impulse_response, discretize_taps, draw_shadowing_db,
+    scale_pathloss, apply_pathloss, dft_response,
 )
 from .rates import (
     InvalidParameterError, PowerBudget, RelayChannelInstance, SplitParams,
@@ -36,8 +37,9 @@ from .optimizer import (
     brute_force_oracle, random_instance, oracle_suite,
 )
 from .experiments import (
-    Geometry, ExperimentConfig, SweepResult, powers_from_config, link_rng,
-    draw_links, build_instance, run_trial, sweep_distance, sweep_rho,
+    Geometry, ExperimentConfig, SweepResult, TrialFading, powers_from_config,
+    link_rng, draw_fading, draw_links, build_instance, run_trial,
+    sweep_distance, sweep_rho,
 )
 from .configfile import (
     AppConfig, ConfigError, OracleSettings, parse_config_text, load_config,
@@ -49,8 +51,8 @@ __all__ = [
     # svchannel
     "SVParameters", "PathlossParameters", "ContinuousImpulse", "ChannelTaps",
     "FrequencyResponse", "DegenerateChannelError", "TruncatedChannelWarning",
-    "sample_impulse_response", "discretize_taps", "apply_pathloss",
-    "dft_response",
+    "sample_impulse_response", "discretize_taps", "draw_shadowing_db",
+    "scale_pathloss", "apply_pathloss", "dft_response",
     # rates
     "InvalidParameterError", "PowerBudget", "RelayChannelInstance",
     "SplitParams", "RateReport", "MutualInformationTerms", "cap",
@@ -65,8 +67,9 @@ __all__ = [
     "optimize_degraded", "brute_force_oracle", "random_instance",
     "oracle_suite",
     # experiments
-    "Geometry", "ExperimentConfig", "SweepResult", "powers_from_config",
-    "link_rng", "draw_links", "build_instance", "run_trial",
+    "Geometry", "ExperimentConfig", "SweepResult", "TrialFading",
+    "powers_from_config", "link_rng", "draw_fading", "draw_links",
+    "build_instance", "run_trial",
     "sweep_distance", "sweep_rho",
     # configfile
     "AppConfig", "ConfigError", "OracleSettings", "parse_config_text",

@@ -8,6 +8,13 @@ link), so moving the relay or changing the noise correlation reuses the
 same small-scale realizations, which keeps sweep curves smooth and makes
 the achievable rate exactly correlation-invariant across rho sweeps.
 
+A link draw has two parts.  Its fading (the multipath profile, its taps
+and the shadowing draw, in that stream order; draw_fading) depends only on
+that key; its placement (the pathloss at the link's distance, then the
+DFT) depends on the geometry.  The sweeps draw each trial's fading once
+and place it at every relay position, so they draw 3 * trials links
+rather than 3 * points * trials, with the same instances either way.
+
 Transmit and noise levels follow the UWB regulatory convention: a flat
 power spectral density in dBm/MHz integrated over the signal bandwidth.
 Rates are bits per complex sample.
@@ -26,8 +33,8 @@ from .optimizer import (OptimizerSettings, optimize_cutset, optimize_degraded,
                         optimize_pdf)
 from .rates import PowerBudget, RateReport, RelayChannelInstance
 from .svchannel import (PathlossParameters, SVParameters, TruncatedChannelWarning,
-                        apply_pathloss, dft_response, discretize_taps,
-                        sample_impulse_response)
+                        dft_response, discretize_taps, draw_shadowing_db,
+                        sample_impulse_response, scale_pathloss)
 
 LINK_SOURCE_DEST = 1
 LINK_SOURCE_RELAY = 2
@@ -152,14 +159,70 @@ def link_rng(master_seed: int, trial_index: int, link_id: int) -> np.random.Gene
         np.random.SeedSequence((master_seed, trial_index, link_id)))
 
 
+@dataclass(frozen=True)
+class TrialFading:
+    """The distance-free part of one trial's three link draws: per link
+    its name, the unit-energy taps and the shadowing in dB, in source-
+    destination, source-relay, relay-destination order.  Tagged with the
+    (master_seed, trial_index, block_size) it was drawn for, so a record
+    cannot be placed into another trial."""
+
+    master_seed: int
+    trial_index: int
+    block_size: int
+    links: tuple
+
+
+def _draw_link_fading(config: ExperimentConfig, rng: np.random.Generator):
+    """(unit-energy taps, shadowing_db) of one link, in stream order."""
+    impulse = sample_impulse_response(config.sv, rng)
+    taps = discretize_taps(impulse, config.sample_period_ns, config.block_size)
+    return taps, draw_shadowing_db(config.pl, rng)
+
+
+def _place_link(config: ExperimentConfig, taps, shadowing_db: float,
+                distance: float):
+    """(taps, response) of a link's fading placed at distance."""
+    taps = scale_pathloss(taps, distance, config.pl, shadowing_db)
+    return taps, dft_response(taps, config.block_size)
+
+
 def draw_link_detail(config: ExperimentConfig, distance: float,
                      rng: np.random.Generator):
     """Sample one link end to end: impulse -> taps -> pathloss -> tones.
     Returns (taps, response) after pathloss."""
-    impulse = sample_impulse_response(config.sv, rng)
-    taps = discretize_taps(impulse, config.sample_period_ns, config.block_size)
-    taps = apply_pathloss(taps, distance, config.pl, rng)
-    return taps, dft_response(taps, config.block_size)
+    return _place_link(config, *_draw_link_fading(config, rng), distance)
+
+
+def draw_fading(config: ExperimentConfig, trial_index: int) -> TrialFading:
+    """The small-scale fading and shadowing of all three links of a
+    trial, before any distance is applied.  It depends only on
+    (master_seed, trial_index, link), so one record serves every relay
+    position and noise correlation of the trial; build_instance(...,
+    fading=record) places it.  A record holds about 2 KB of taps per
+    link."""
+    seed = config.master_seed
+    links = tuple((name, *_draw_link_fading(config, link_rng(seed, trial_index, link)))
+                  for name, link in (("sd", LINK_SOURCE_DEST),
+                                     ("sr", LINK_SOURCE_RELAY),
+                                     ("rd", LINK_RELAY_DEST)))
+    return TrialFading(seed, trial_index, config.block_size, links)
+
+
+def _place_links(config: ExperimentConfig, geometry: Geometry,
+                 fading: TrialFading):
+    """{name: (taps, response)} of a trial's fading placed at geometry.
+    Each link whose paths reach beyond block_size taps issues a
+    TruncatedChannelWarning naming it and its dropped energy share."""
+    distances = {"sd": geometry.d1, "sr": geometry.d2,
+                 "rd": geometry.relay_dest_distance}
+    links = {name: _place_link(config, taps, shadowing_db, distances[name])
+             for name, taps, shadowing_db in fading.links}
+    for name, (taps, _) in links.items():
+        if taps.dropped_share > 0.0:
+            warnings.warn(TruncatedChannelWarning(name, taps.dropped_share,
+                                                  config.block_size), stacklevel=3)
+    return links
 
 
 def draw_links(config: ExperimentConfig, geometry: Geometry, trial_index: int):
@@ -167,24 +230,27 @@ def draw_links(config: ExperimentConfig, geometry: Geometry, trial_index: int):
     so changing one link's stream leaves the others bit-identical.  Each
     link whose paths reach beyond block_size taps issues a
     TruncatedChannelWarning naming it and its dropped energy share."""
-    seed = config.master_seed
-    links = {name: draw_link_detail(config, distance,
-                                    link_rng(seed, trial_index, link))
-             for name, distance, link in (
-                 ("sd", geometry.d1, LINK_SOURCE_DEST),
-                 ("sr", geometry.d2, LINK_SOURCE_RELAY),
-                 ("rd", geometry.relay_dest_distance, LINK_RELAY_DEST))}
-    for name, (taps, _) in links.items():
-        if taps.dropped_share > 0.0:
-            warnings.warn(TruncatedChannelWarning(name, taps.dropped_share,
-                                                  config.block_size), stacklevel=2)
-    return links
+    return _place_links(config, geometry, draw_fading(config, trial_index))
 
 
 def build_instance(config: ExperimentConfig, geometry: Geometry, rho: float,
-                   trial_index: int) -> RelayChannelInstance:
-    """One frozen channel draw with a constant noise correlation."""
-    links = draw_links(config, geometry, trial_index)
+                   trial_index: int, *, fading: TrialFading | None = None
+                   ) -> RelayChannelInstance:
+    """One frozen channel draw with a constant noise correlation.
+
+    fading, when given, is draw_fading(config, trial_index) drawn once and
+    reused: the instance is the same as without it, only the draw is not
+    repeated.  A record drawn for another master seed, trial or block size
+    raises ValueError."""
+    if fading is None:
+        fading = draw_fading(config, trial_index)
+    elif ((fading.master_seed, fading.trial_index, fading.block_size)
+          != (config.master_seed, trial_index, config.block_size)):
+        raise ValueError(
+            f"fading drawn for (master_seed, trial, block_size) = "
+            f"{(fading.master_seed, fading.trial_index, fading.block_size)!r}, "
+            f"not {(config.master_seed, trial_index, config.block_size)!r}")
+    links = _place_links(config, geometry, fading)
     _, n_dest, n_relay = powers_from_config(config)
     return RelayChannelInstance(
         g_sd=links["sd"][1].gains, g_sr=links["sr"][1].gains,
@@ -193,16 +259,18 @@ def build_instance(config: ExperimentConfig, geometry: Geometry, rho: float,
 
 
 def _solve_trial(config: ExperimentConfig, geometry: Geometry,
-                 trial_index: int, rho_values):
+                 trial_index: int, rho_values, fading: TrialFading | None = None):
     """The work every trial shares: the correlation-independent bounds
     once, the cut-set bound once per correlation value.  The direct
     baseline spends the whole power budget at the source (twice the
     per-node power), since without a relay only one node transmits.
+    fading is passed on to build_instance.
 
     Returns (instance, powers, pdf_res, df_res, cuts, direct_rate); the
     instance carries rho_values[0] and cuts holds one optimize_cutset
     result per correlation value."""
-    instance = build_instance(config, geometry, rho_values[0], trial_index)
+    instance = build_instance(config, geometry, rho_values[0], trial_index,
+                              fading=fading)
     powers, n_dest, _ = powers_from_config(config)
     settings = config.optimizer
     pdf_res = optimize_pdf(instance, powers, settings)
@@ -261,8 +329,10 @@ def run_trial(config: ExperimentConfig, geometry: Geometry, rho: float,
 @dataclass
 class SweepResult:
     """Aggregated sweep: per bound, the mean and standard error of the
-    rate at every axis value.  samples keeps the raw (points, trials)
-    values behind the aggregates; the sweeps always fill it."""
+    rate at every axis value.  means and stderrs share their keys and hold
+    one value per axis value; standard errors are finite and >= 0.
+    samples keeps the raw (points, trials) values behind the aggregates;
+    the sweeps always fill it."""
 
     axis_name: str
     axis_values: np.ndarray
@@ -278,10 +348,15 @@ class SweepResult:
             self.means[name] = np.asarray(arr, dtype=float)
             if self.means[name].shape != (n,):
                 raise ValueError(f"means[{name!r}] must have shape ({n},)")
+        if set(self.stderrs) != set(self.means):
+            raise ValueError(f"stderrs must have the keys of means, "
+                             f"{sorted(self.means)!r}, got {sorted(self.stderrs)!r}")
         for name, arr in list(self.stderrs.items()):
             self.stderrs[name] = np.asarray(arr, dtype=float)
-            if np.any(self.stderrs[name] < 0):
-                raise ValueError("standard errors must be >= 0")
+            if self.stderrs[name].shape != (n,):
+                raise ValueError(f"stderrs[{name!r}] must have shape ({n},)")
+            if not np.all(np.isfinite(self.stderrs[name]) & (self.stderrs[name] >= 0)):
+                raise ValueError(f"stderrs[{name!r}] must be finite and >= 0")
 
     def write_csv(self, path, rate_unit: str = "bits_per_sample",
                   scale: float = 1.0) -> str:
@@ -313,14 +388,16 @@ def _aggregate(samples: np.ndarray):
 def _sweep(config: ExperimentConfig, rho_values, cut_names, progress) -> SweepResult:
     """Distance sweep with one cut-set series per correlation value (named
     by cut_names) plus the correlation-independent pdf, df and direct
-    series."""
+    series.  Each trial's fading is drawn once and placed at every relay
+    position."""
     names = list(cut_names) + ["pdf", "df", "direct"]
     samples = {n: np.empty((len(config.d2_grid), config.trials)) for n in names}
+    fadings = [draw_fading(config, trial) for trial in range(config.trials)]
     for i, d2 in enumerate(config.d2_grid):
         geometry = Geometry(config.d1, d2)
-        for trial in range(config.trials):
+        for trial, fading in enumerate(fadings):
             _, _, pdf_res, df_res, cuts, direct_value = _solve_trial(
-                config, geometry, trial, rho_values)
+                config, geometry, trial, rho_values, fading)
             for name, cut_res in zip(cut_names, cuts):
                 samples[name][i, trial] = cut_res.rate
             samples["pdf"][i, trial] = pdf_res.rate

@@ -157,10 +157,12 @@ def _tones(instance: RelayChannelInstance, powers: PowerBudget) -> _Tones:
 
 def _broadcast_gain(instance: RelayChannelInstance, powers: PowerBudget):
     """The cut-set gain bc: the broadcast-cut SNR with no correlation spent
-    (t = 0).  Only the cut-set computes it, because it needs |rho| < 1."""
-    return rates.broadcast_cut_snr(
+    (t = 0).  Only the cut-set computes it, because it needs |rho| below
+    rates.NOISE_CORR_LIMIT, the one check the validated instance lacks."""
+    rates._check_noise_corr(instance.noise_corr)
+    return rates._broadcast_snr(
         instance.g_sd, instance.g_sr, powers.p_src, instance.n_dest,
-        instance.n_relay, 0.0, 0.0, instance.noise_corr)
+        instance.n_relay, 0.0, instance.noise_corr)
 
 
 # spacing of float64 numbers just above 1, the coarsest rounding of an s

@@ -19,7 +19,12 @@ cross coefficient sqrt(relay_mag * aux_mag) * exp(j*phase)
 
 Rates are in bits per complex sample (log base 2); multiply by the system
 bandwidth for bit/s.  Per-tone SNR helpers return raw values and never
-clamp; physically impossible inputs raise InvalidParameterError.
+clamp; physically impossible inputs raise InvalidParameterError.  The
+split scorers (pdf_rate, cutset_rate, degraded_capacity_rate) read the
+SNRs from the unchecked cores behind those helpers, since their instance,
+powers and split were validated when built; only the broadcast cut's
+noise-correlation limit, which RelayChannelInstance does not enforce, is
+checked again.
 """
 
 from __future__ import annotations
@@ -104,6 +109,16 @@ def mac_cut_snr(g_sd, g_rd, p_src, p_rel, n_dest, relay_corr, aux_corr) -> np.nd
     return snr
 
 
+def _decode_snr(g_sd, g_sr, p_src, n_dest, n_relay, relay_mag, aux_mag) -> np.ndarray:
+    """Decode-cut SNR at the split magnitudes; no checks."""
+    relay_inno = 1.0 - relay_mag
+    aux_inno = 1.0 - aux_mag
+    sr_pow = np.abs(g_sr) ** 2 * p_src
+    relay_term = 1.0 + sr_pow * relay_inno * aux_mag / (sr_pow * aux_inno + n_relay)
+    dest_term = 1.0 + np.abs(g_sd) ** 2 * aux_inno * p_src / n_dest
+    return relay_term * dest_term - 1.0
+
+
 def decode_cut_snr(g_sd, g_sr, p_src, n_dest, n_relay, relay_corr, aux_corr) -> np.ndarray:
     """Per-tone effective SNR of the decode constraint of partial
     decode-and-forward: the relay decodes the auxiliary stream, the
@@ -114,12 +129,31 @@ def decode_cut_snr(g_sd, g_sr, p_src, n_dest, n_relay, relay_corr, aux_corr) -> 
         raise ValueError("powers and noise must be > 0")
     relay_mag = np.abs(_check_disc("relay_corr", _as_complex(relay_corr)))
     aux_mag = np.abs(_check_disc("aux_corr", _as_complex(aux_corr)))
-    relay_inno = 1.0 - relay_mag
-    aux_inno = 1.0 - aux_mag
-    sr_pow = np.abs(g_sr) ** 2 * p_src
-    relay_term = 1.0 + sr_pow * relay_inno * aux_mag / (sr_pow * aux_inno + n_relay)
-    dest_term = 1.0 + np.abs(g_sd) ** 2 * aux_inno * p_src / n_dest
-    return relay_term * dest_term - 1.0
+    return _decode_snr(g_sd, g_sr, p_src, n_dest, n_relay, relay_mag, aux_mag)
+
+
+def _check_noise_corr(noise_corr: np.ndarray) -> None:
+    """Reject |noise_corr| >= NOISE_CORR_LIMIT, which makes the joint
+    noise covariance of the broadcast cut singular."""
+    rho_mag = np.abs(noise_corr)
+    if np.any(rho_mag >= NOISE_CORR_LIMIT):
+        raise InvalidParameterError(
+            f"|noise_corr| must stay below {NOISE_CORR_LIMIT!r} "
+            f"(max {float(rho_mag.max())!r})")
+
+
+def _broadcast_snr(g_sd, g_sr, p_src, n_dest, n_relay, product, rho) -> np.ndarray:
+    """Broadcast-cut SNR at the magnitude product relay_mag * aux_mag and
+    noise correlation rho; no checks."""
+    rho_mag = np.abs(rho)
+    u = g_sd / math.sqrt(n_dest)
+    v = g_sr / math.sqrt(n_relay)
+    one_minus_sq = 1.0 - rho_mag ** 2
+    # |u - conj(rho) v|^2 + (1 - |rho|^2)|v|^2 equals the textbook form
+    # |u|^2 + |v|^2 - 2 Re{u conj(v) rho} but is nonnegative term by term,
+    # so rounding can never push the SNR below zero
+    quad = np.abs(u - np.conj(rho) * v) ** 2 + one_minus_sq * np.abs(v) ** 2
+    return p_src * (1.0 - product) * quad / one_minus_sq
 
 
 def broadcast_cut_snr(g_sd, g_sr, p_src, n_dest, n_relay, relay_corr, aux_corr,
@@ -135,22 +169,10 @@ def broadcast_cut_snr(g_sd, g_sr, p_src, n_dest, n_relay, relay_corr, aux_corr,
     if p_src <= 0 or n_dest <= 0 or n_relay <= 0:
         raise ValueError("powers and noise must be > 0")
     rho = _as_complex(noise_corr)
-    rho_mag = np.abs(rho)
-    if np.any(rho_mag >= NOISE_CORR_LIMIT):
-        raise InvalidParameterError(
-            f"|noise_corr| must stay below {NOISE_CORR_LIMIT!r} "
-            f"(max {float(rho_mag.max())!r})")
+    _check_noise_corr(rho)
     relay_mag = np.abs(_check_disc("relay_corr", _as_complex(relay_corr)))
     aux_mag = np.abs(_check_disc("aux_corr", _as_complex(aux_corr)))
-    product = relay_mag * aux_mag
-    u = g_sd / math.sqrt(n_dest)
-    v = g_sr / math.sqrt(n_relay)
-    one_minus_sq = 1.0 - rho_mag ** 2
-    # |u - conj(rho) v|^2 + (1 - |rho|^2)|v|^2 equals the textbook form
-    # |u|^2 + |v|^2 - 2 Re{u conj(v) rho} but is nonnegative term by term,
-    # so rounding can never push the SNR below zero
-    quad = np.abs(u - np.conj(rho) * v) ** 2 + one_minus_sq * np.abs(v) ** 2
-    return p_src * (1.0 - product) * quad / one_minus_sq
+    return _broadcast_snr(g_sd, g_sr, p_src, n_dest, n_relay, relay_mag * aux_mag, rho)
 
 
 def mac_excess_snr(g_sd, g_rd, p_src, p_rel, n_dest, aux_corr) -> np.ndarray:
@@ -390,22 +412,29 @@ class RateReport:
         return [(name, getattr(self, name)) for name in self._FIELDS]
 
 
+def _mean_bits(snr: np.ndarray) -> float:
+    """Tone mean of log2(1 + snr): np.mean(cap(snr)) bit for bit, without
+    cap's check; np.add.reduce(x) / x.size is what np.mean computes."""
+    bits = np.log1p(snr) / LN2
+    return np.add.reduce(bits) / bits.size
+
+
 def _min_of_means(instance: RelayChannelInstance, powers: PowerBudget,
                   split: SplitParams, second_cut_snr) -> float:
     """The worse of the tone-averaged multiple-access term and the term of
     the per-tone SNR second_cut_snr() returns."""
     if split.relay_mag.size != instance.block_size:
         raise ValueError("split length must match the instance block size")
-    mac = cap(_mac_snr(instance.g_sd, instance.g_rd, powers.p_src, powers.p_rel,
-                       instance.n_dest, split.coefficient))
-    return float(min(np.mean(mac), np.mean(cap(second_cut_snr()))))
+    mac = _mac_snr(instance.g_sd, instance.g_rd, powers.p_src, powers.p_rel,
+                   instance.n_dest, split.coefficient)
+    return float(min(_mean_bits(mac), _mean_bits(second_cut_snr())))
 
 
 def pdf_rate(instance: RelayChannelInstance, powers: PowerBudget,
              split: SplitParams) -> float:
     """Partial decode-and-forward rate at a fixed split: the worse of the
     tone-averaged multiple-access and decode terms."""
-    return _min_of_means(instance, powers, split, lambda: decode_cut_snr(
+    return _min_of_means(instance, powers, split, lambda: _decode_snr(
         instance.g_sd, instance.g_sr, powers.p_src, instance.n_dest,
         instance.n_relay, split.relay_mag, split.aux_mag))
 
@@ -413,10 +442,12 @@ def pdf_rate(instance: RelayChannelInstance, powers: PowerBudget,
 def cutset_rate(instance: RelayChannelInstance, powers: PowerBudget,
                 split: SplitParams) -> float:
     """Max-flow min-cut upper bound at a fixed split: the worse of the
-    tone-averaged multiple-access and broadcast terms."""
-    return _min_of_means(instance, powers, split, lambda: broadcast_cut_snr(
+    tone-averaged multiple-access and broadcast terms.  The instance's
+    |noise_corr| must stay below NOISE_CORR_LIMIT."""
+    _check_noise_corr(instance.noise_corr)
+    return _min_of_means(instance, powers, split, lambda: _broadcast_snr(
         instance.g_sd, instance.g_sr, powers.p_src, instance.n_dest,
-        instance.n_relay, split.relay_mag, split.aux_mag, instance.noise_corr))
+        instance.n_relay, split.relay_mag * split.aux_mag, instance.noise_corr))
 
 
 def degraded_capacity_rate(instance: RelayChannelInstance, powers: PowerBudget,

@@ -11,6 +11,9 @@ The continuous profile is then binned into baseband taps on a uniform
 sample grid, scaled by a log-distance pathloss law with optional
 log-normal shadowing, and transformed with an unnormalized forward DFT to
 obtain the per-tone frequency response used by the rate expressions.
+The shadowing draw (draw_shadowing_db) and the distance scaling
+(scale_pathloss) are separate steps, so one small-scale draw can be
+placed at several distances; apply_pathloss does both.
 
 All delays are in nanoseconds, all distances in meters.
 """
@@ -234,21 +237,35 @@ def discretize_taps(impulse: ContinuousImpulse, sample_period: float,
     total = impulse.energy
     dropped = float(np.sum(np.abs(impulse.gains[~keep]) ** 2))
     dropped = dropped / total if total > 0 else 0.0
-    return ChannelTaps(taps[:span], sample_period, dropped)
+    # a copy, so a held draw does not keep all max_taps bins alive
+    return ChannelTaps(taps[:span].copy(), sample_period, dropped)
+
+
+def draw_shadowing_db(params: PathlossParameters, rng: np.random.Generator) -> float:
+    """One Normal(0, shadowing_sigma_db^2) shadowing draw in dB.  It is
+    drawn even at sigma 0, so toggling shadowing leaves later draws of
+    the stream aligned."""
+    return float(rng.normal(0.0, params.shadowing_sigma_db))
+
+
+def scale_pathloss(taps: ChannelTaps, distance: float, params: PathlossParameters,
+                   shadowing_db: float) -> ChannelTaps:
+    """Scale taps by the amplitude of the log-distance loss at distance
+    plus shadowing_db of shadowing; returns a new ChannelTaps."""
+    if not (math.isfinite(distance) and distance > 0):
+        raise ValueError(f"distance must be > 0, got {distance!r}")
+    loss_db = (params.ref_loss_db
+               + 10.0 * params.exponent * math.log10(distance / params.ref_distance)
+               + shadowing_db)
+    scale = 10.0 ** (-loss_db / 20.0)
+    return ChannelTaps(taps.taps * scale, taps.sample_period, taps.dropped_share)
 
 
 def apply_pathloss(taps: ChannelTaps, distance: float, params: PathlossParameters,
                    rng: np.random.Generator) -> ChannelTaps:
     """Scale taps by the amplitude of the log-distance loss with one
     shadowing draw; returns a new ChannelTaps."""
-    if not (math.isfinite(distance) and distance > 0):
-        raise ValueError(f"distance must be > 0, got {distance!r}")
-    shadowing_db = float(rng.normal(0.0, params.shadowing_sigma_db))
-    loss_db = (params.ref_loss_db
-               + 10.0 * params.exponent * math.log10(distance / params.ref_distance)
-               + shadowing_db)
-    scale = 10.0 ** (-loss_db / 20.0)
-    return ChannelTaps(taps.taps * scale, taps.sample_period, taps.dropped_share)
+    return scale_pathloss(taps, distance, params, draw_shadowing_db(params, rng))
 
 
 def dft_response(taps: ChannelTaps, block_size: int) -> FrequencyResponse:

@@ -12,6 +12,7 @@ from uwbrelay.experiments import (
     Geometry,
     SweepResult,
     build_instance,
+    draw_fading,
     draw_link_detail,
     draw_links,
     link_rng,
@@ -21,7 +22,7 @@ from uwbrelay.experiments import (
     sweep_rho,
 )
 from uwbrelay.optimizer import OptimizerSettings
-from uwbrelay.svchannel import TruncatedChannelWarning
+from uwbrelay.svchannel import SVParameters, TruncatedChannelWarning
 from uwbrelay.svgplot import parse_sweep_csv
 
 # small, fast configuration shared by the sweep tests
@@ -212,6 +213,25 @@ def test_sweep_result_validation():
                      stderrs={"pdf": [-0.1]}, trials=1)
 
 
+@pytest.mark.parametrize("stderrs, message", [
+    ({"pdf": [0.1]}, "shape"),                     # short: write_csv IndexError
+    ({"pdf": [0.1, 0.2, 0.3]}, "shape"),
+    ({"pdf": [[0.1, 0.2]]}, "shape"),
+    ({}, "keys"),                                  # missing: write_csv KeyError
+    ({"pdf": [0.1, 0.2], "df": [0.1, 0.2]}, "keys"),
+    ({"pdf": [0.1, math.nan]}, "finite"),          # would reach the CSV as nan
+    ({"pdf": [0.1, math.inf]}, "finite"),
+    ({"pdf": [0.1, -0.2]}, ">= 0"),
+])
+def test_sweep_result_validates_stderrs_like_means(stderrs, message):
+    with pytest.raises(ValueError, match=message):
+        SweepResult("d", [1.0, 2.0], means={"pdf": [1.0, 2.0]},
+                    stderrs=stderrs, trials=2)
+    ok = SweepResult("d", [1.0, 2.0], means={"pdf": [1.0, 2.0]},
+                     stderrs={"pdf": [0.0, 0.2]}, trials=2)
+    assert ok.write_csv(None).splitlines()[2] == "2.0,pdf,2.0,0.2,2"
+
+
 def test_geometry():
     assert Geometry(3.0, 1.9).relay_dest_distance == pytest.approx(1.1)
     with pytest.raises(ValueError):
@@ -266,3 +286,73 @@ def test_draw_links_warns_about_dropped_energy():
         warnings.simplefilter("error")
         links = draw_links(wide, Geometry(3.0, 1.0), 0)
     assert all(taps.dropped_share == 0.0 for taps, _ in links.values())
+
+
+def test_sweep_draws_each_trials_fading_once(monkeypatch):
+    config = ExperimentConfig(**{**SMALL, "block_size": 64, "trials": 4,
+                                 "d2_grid": (0.5, 1.5, 2.5)})
+    calls = []
+    draw = experiments.sample_impulse_response
+    monkeypatch.setattr(experiments, "sample_impulse_response",
+                        lambda *args: calls.append(args) or draw(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncatedChannelWarning)
+        result = sweep_rho(config)
+        assert len(calls) == 3 * config.trials  # not 3 * points * trials
+        rhos = list(config.rho_values)
+        for i, d2 in enumerate(config.d2_grid):
+            for trial in range(config.trials):
+                _, _, pdf_res, df_res, cuts, direct = experiments._solve_trial(
+                    config, Geometry(config.d1, d2), trial, rhos)
+                expected = {"pdf": pdf_res.rate, "df": df_res.rate, "direct": direct}
+                expected.update((experiments._cutset_label(rho), cut.rate)
+                                for rho, cut in zip(rhos, cuts))
+                assert {name: result.samples[name][i, trial]
+                        for name in expected} == expected, (d2, trial)
+
+
+def _recorded(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn()
+    return value, [(w.category, w.message.link, w.message.share) for w in caught]
+
+
+@pytest.mark.parametrize("config", [
+    ExperimentConfig(block_size=128, trials=3),
+    ExperimentConfig(**SMALL),  # truncates at 32 taps
+    ExperimentConfig(block_size=8, trials=1, d2_grid=(1.0,),
+                     sv=SVParameters(max_delay=400.0)),
+], ids=["b128", "b32", "b8-truncating"])
+def test_build_instance_places_a_held_fading_record(config):
+    fields = ("g_sd", "g_sr", "g_rd", "noise_corr")
+    for trial in range(config.trials):
+        fading = draw_fading(config, trial)
+        for d2, rho in ((0.3, 0.0), (1.0, 0.6), (2.7, 0.9)):
+            geometry = Geometry(config.d1, d2)
+            held, held_warnings = _recorded(
+                lambda: build_instance(config, geometry, rho, trial, fading=fading))
+            fresh, fresh_warnings = _recorded(
+                lambda: build_instance(config, geometry, rho, trial))
+            for name in fields:
+                assert np.array_equal(getattr(held, name), getattr(fresh, name))
+            assert (held.n_dest, held.n_relay) == (fresh.n_dest, fresh.n_relay)
+            assert held_warnings == fresh_warnings
+            if config.block_size == 8:
+                assert [link for _, link, _ in held_warnings] == ["sd", "sr", "rd"]
+
+
+def test_build_instance_rejects_a_foreign_fading_record():
+    config = ExperimentConfig(block_size=128, trials=2)
+    geometry = Geometry(config.d1, 1.0)
+    fading = draw_fading(config, 0)
+    assert (fading.master_seed, fading.trial_index, fading.block_size) == (
+        config.master_seed, 0, 128)
+    with pytest.raises(ValueError, match="fading"):
+        build_instance(config, geometry, 0.0, 1, fading=fading)
+    reseeded = ExperimentConfig(block_size=128, trials=2, master_seed=config.master_seed + 1)
+    with pytest.raises(ValueError, match="fading"):
+        build_instance(reseeded, geometry, 0.0, 0, fading=fading)
+    wider = ExperimentConfig(block_size=256, trials=2)
+    with pytest.raises(ValueError, match="fading"):
+        build_instance(wider, geometry, 0.0, 0, fading=fading)

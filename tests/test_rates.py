@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_instance
+from uwbrelay import rates
+from uwbrelay.optimizer import optimize_cutset
 from uwbrelay.rates import (
+    NOISE_CORR_LIMIT,
     InvalidParameterError,
     PowerBudget,
     RateReport,
@@ -325,13 +328,75 @@ def test_polar_scoring_matches_the_complex_split():
 def test_rates_reject_split_length_mismatch():
     instance = make_instance([1.0, 2.0], [1.0, 1.0], [1.0, 2.0])
     powers = PowerBudget(p_src=1.0, p_rel=1.0)
-    short = SplitParams([0.5], [0.5], [0.0])
-    with pytest.raises(ValueError):
-        pdf_rate(instance, powers, short)
-    with pytest.raises(ValueError):
-        cutset_rate(instance, powers, short)
-    with pytest.raises(ValueError):
-        degraded_capacity_rate(instance, powers, [0.5], [0.0])
+    for n in (1, 3):
+        split = SplitParams(np.full(n, 0.5), np.full(n, 0.5), np.zeros(n))
+        with pytest.raises(ValueError, match="split length"):
+            pdf_rate(instance, powers, split)
+        with pytest.raises(ValueError, match="split length"):
+            cutset_rate(instance, powers, split)
+        with pytest.raises(ValueError, match="split length"):
+            degraded_capacity_rate(instance, powers, np.full(n, 0.5), np.zeros(n))
+
+
+def test_cutset_scoring_rejects_noise_corr_at_the_limit():
+    # RelayChannelInstance admits |noise_corr| <= 1, the broadcast cut
+    # only below NOISE_CORR_LIMIT: scoring must check it again
+    powers = PowerBudget(p_src=1.0, p_rel=1.0)
+    split = SplitParams([0.5, 0.5], [0.5, 0.5], [0.0, 0.0])
+    for rho in (NOISE_CORR_LIMIT, -NOISE_CORR_LIMIT, 1j * NOISE_CORR_LIMIT, 1.0):
+        instance = make_instance([1.0, 2.0], [1.0, 1.0], [1.0, 2.0],
+                                 noise_corr=[0.0, rho])
+        with pytest.raises(InvalidParameterError, match="noise_corr"):
+            cutset_rate(instance, powers, split)
+        with pytest.raises(InvalidParameterError, match="noise_corr"):
+            optimize_cutset(instance, powers)
+        # the decode-and-forward bounds do not read the correlation
+        assert math.isfinite(pdf_rate(instance, powers, split))
+    below = make_instance([1.0, 2.0], [1.0, 1.0], [1.0, 2.0],
+                          noise_corr=[0.0, 0.999999])
+    assert math.isfinite(cutset_rate(below, powers, split))
+
+
+def _scoring_case(seed, tones):
+    """Random instance, powers and split with exact 0 and 1 magnitudes."""
+    rng = np.random.default_rng(seed)
+    g_sd, g_sr, g_rd = (rng.standard_normal((3, tones))
+                        + 1j * rng.standard_normal((3, tones)))
+    rho = rng.uniform(0, 0.99, tones) * np.exp(2j * math.pi * rng.uniform(size=tones))
+    n_dest, n_relay, p_src, p_rel = 10.0 ** rng.uniform(-1, 1, size=4)
+    instance = make_instance(g_sd, g_sr, g_rd, n_dest, n_relay, rho)
+    mags = rng.choice([0.0, 1.0, 0.5], size=(2, tones)) * rng.uniform(0.5, 1, (2, tones))
+    mags[rng.uniform(size=(2, tones)) < 0.3] = 1.0
+    split = SplitParams(mags[0], mags[1], rng.uniform(-math.pi, math.pi, tones))
+    return instance, PowerBudget(p_src=float(p_src), p_rel=float(p_rel)), split
+
+
+SCORING = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@SCORING
+@given(seed=st.integers(0, 2**32 - 1), tones=st.integers(1, 40))
+def test_scoring_cores_equal_their_checked_wrappers(seed, tones):
+    instance, powers, split = _scoring_case(seed, tones)
+    args = (instance.g_sd, instance.g_sr, powers.p_src, instance.n_dest,
+            instance.n_relay)
+    assert np.array_equal(
+        rates._decode_snr(*args, split.relay_mag, split.aux_mag),
+        decode_cut_snr(*args, split.relay_mag, split.aux_mag))
+    assert np.array_equal(
+        rates._broadcast_snr(*args, split.relay_mag * split.aux_mag,
+                             instance.noise_corr),
+        broadcast_cut_snr(*args, split.relay_mag, split.aux_mag,
+                          instance.noise_corr))
+    # the scorers equal the checked composition np.mean(cap(...)) bit for bit
+    mac = np.mean(cap(rates._mac_snr(instance.g_sd, instance.g_rd, powers.p_src,
+                                     powers.p_rel, instance.n_dest,
+                                     split.coefficient)))
+    dec = np.mean(cap(decode_cut_snr(*args, split.relay_mag, split.aux_mag)))
+    bc = np.mean(cap(broadcast_cut_snr(*args, split.relay_mag, split.aux_mag,
+                                       instance.noise_corr)))
+    assert pdf_rate(instance, powers, split) == float(min(mac, dec))
+    assert cutset_rate(instance, powers, split) == float(min(mac, bc))
 
 
 def test_reversely_degraded_capacity_is_direct_rate():

@@ -15,7 +15,9 @@ from uwbrelay.svchannel import (
     apply_pathloss,
     dft_response,
     discretize_taps,
+    draw_shadowing_db,
     sample_impulse_response,
+    scale_pathloss,
     write_response_csv,
     write_taps_csv,
 )
@@ -135,6 +137,20 @@ def test_pathloss_consumes_exactly_one_normal_draw():
     apply_pathloss(taps, 2.0, params, used)
     mirror.normal(0.0, params.shadowing_sigma_db)
     assert used.uniform() == mirror.uniform()
+
+
+def test_pathloss_is_a_shadowing_draw_then_the_shared_scaling():
+    # placing one held draw at a distance must equal drawing it there
+    params = PathlossParameters()
+    taps = ChannelTaps([1.0, 0.5j, -0.25], sample_period=2.0, dropped_share=0.1)
+    for distance in (0.3, 1.0, 2.7):
+        drawn = apply_pathloss(taps, distance, params, np.random.default_rng(3))
+        shadowing_db = draw_shadowing_db(params, np.random.default_rng(3))
+        placed = scale_pathloss(taps, distance, params, shadowing_db)
+        assert np.array_equal(drawn.taps, placed.taps)
+        assert placed.dropped_share == drawn.dropped_share == 0.1
+    with pytest.raises(ValueError):
+        scale_pathloss(taps, -1.0, params, 0.0)
 
 
 def test_pathloss_deterministic_and_guards():
