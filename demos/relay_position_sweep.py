@@ -31,7 +31,9 @@ for i, d2 in enumerate(result.axis_values):
 
 csv_path = os.path.join(out_dir, "relay_position_sweep.csv")
 svg_path = os.path.join(out_dir, "relay_position_sweep.svg")
-csv_text = result.write_csv(csv_path)
+csv_text = result.write_csv()
+with open(csv_path, "w") as fh:
+    fh.write(csv_text)
 with open(svg_path, "w") as fh:
     fh.write(sweep_chart(csv_text, title="Relay bounds vs relay position"))
 print(f"\nwrote {csv_path} and {svg_path}")

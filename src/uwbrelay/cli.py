@@ -127,9 +127,9 @@ def cmd_channel(args: argparse.Namespace) -> int:
     responses = {name: link[1] for name, link in links.items()}
     taps_path = os.path.join(args.output_dir, "channel_taps.csv")
     resp_path = os.path.join(args.output_dir, "channel_response.csv")
-    _atomic_write(taps_path, write_taps_csv(None, taps, seed))
-    _atomic_write(resp_path, write_response_csv(None, responses,
-                                                exp.sample_period_ns, seed))
+    _atomic_write(taps_path, write_taps_csv(taps, seed))
+    _atomic_write(resp_path, write_response_csv(responses, exp.sample_period_ns,
+                                                seed))
     _write_manifest(args.output_dir, "channel", config,
                     [os.path.basename(taps_path), os.path.basename(resp_path)],
                     rate_unit="none")
@@ -181,7 +181,7 @@ def _run_sweep(args: argparse.Namespace, command: str, runner, title: str) -> in
     svg_name = command.replace("-", "_") + ".svg"
     csv_path = os.path.join(args.output_dir, csv_name)
     svg_path = os.path.join(args.output_dir, svg_name)
-    csv_text = result.write_csv(None, rate_unit=unit, scale=scale)
+    csv_text = result.write_csv(rate_unit=unit, scale=scale)
     _atomic_write(csv_path, csv_text)
     _atomic_write(svg_path, sweep_chart(csv_text, title=title))
     _write_manifest(args.output_dir, command, config, [csv_name, svg_name], unit)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -187,13 +187,6 @@ def _place_link(config: ExperimentConfig, taps, shadowing_db: float,
     return taps, dft_response(taps, config.block_size)
 
 
-def draw_link_detail(config: ExperimentConfig, distance: float,
-                     rng: np.random.Generator):
-    """Sample one link end to end: impulse -> taps -> pathloss -> tones.
-    Returns (taps, response) after pathloss."""
-    return _place_link(config, *_draw_link_fading(config, rng), distance)
-
-
 def draw_fading(config: ExperimentConfig, trial_index: int) -> TrialFading:
     """The small-scale fading and shadowing of all three links of a
     trial, before any distance is applied.  It depends only on
@@ -264,7 +257,9 @@ def _solve_trial(config: ExperimentConfig, geometry: Geometry,
     once, the cut-set bound once per correlation value.  The direct
     baseline spends the whole power budget at the source (twice the
     per-node power), since without a relay only one node transmits.
-    fading is passed on to build_instance.
+    fading is passed on to build_instance.  Later correlation values come
+    from config.rho_values, which ExperimentConfig bounds, so their
+    instances are the validated one with only noise_corr swapped.
 
     Returns (instance, powers, pdf_res, df_res, cuts, direct_rate); the
     instance carries rho_values[0] and cuts holds one optimize_cutset
@@ -275,9 +270,10 @@ def _solve_trial(config: ExperimentConfig, geometry: Geometry,
     settings = config.optimizer
     pdf_res = optimize_pdf(instance, powers, settings)
     df_res = optimize_degraded(instance, powers, settings)
-    cuts = [optimize_cutset(
-        replace(instance, noise_corr=np.full(config.block_size, complex(rho))),
-        powers, settings) for rho in rho_values]
+    per_rho = [instance] + [rates._unchecked(RelayChannelInstance, **{
+        **vars(instance), "noise_corr": np.full(config.block_size, complex(rho))})
+        for rho in rho_values[1:]]
+    cuts = [optimize_cutset(inst, powers, settings) for inst in per_rho]
     direct_value = rates.direct_rate(instance.g_sd, 2.0 * powers.p_src, n_dest)
     return instance, powers, pdf_res, df_res, cuts, direct_value
 
@@ -358,21 +354,16 @@ class SweepResult:
             if not np.all(np.isfinite(self.stderrs[name]) & (self.stderrs[name] >= 0)):
                 raise ValueError(f"stderrs[{name!r}] must be finite and >= 0")
 
-    def write_csv(self, path, rate_unit: str = "bits_per_sample",
+    def write_csv(self, rate_unit: str = "bits_per_sample",
                   scale: float = 1.0) -> str:
-        """Serialize as axis_value,bound,mean,stderr,trials rows; returns
-        the text, path=None renders without writing."""
+        """Render as axis_value,bound,mean,stderr,trials rows."""
         lines = [f"{self.axis_name},bound,mean_{rate_unit},stderr,trials"]
         for i, x in enumerate(self.axis_values):
             for name in self.means:
                 lines.append(
                     f"{float(x)!r},{name},{float(self.means[name][i] * scale)!r},"
                     f"{float(self.stderrs[name][i] * scale)!r},{self.trials}")
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return "\n".join(lines) + "\n"
 
 
 def _aggregate(samples: np.ndarray):

@@ -303,9 +303,11 @@ def _max_min(tones: _Tones, gain: np.ndarray, settings: OptimizerSettings):
 def _result(rate, instance, powers, objective, solved, relay_mag,
             aux_mag) -> OptimizationResult:
     """The result of a _max_min solve mapped back to the split with the
-    given magnitudes; rate is the rates-module function that scores it."""
+    given magnitudes, float64 arrays of the block length that the solve
+    kept in [0, 1]; rate is the rates-module function that scores it."""
     _, terms, trace, converged = solved
-    split = aligned_split(instance, relay_mag, aux_mag)
+    split = rates._unchecked(SplitParams, relay_mag=relay_mag, aux_mag=aux_mag,
+                             phase=align_phases(instance))
     return OptimizationResult(
         split=split, rate=rate(instance, powers, split), terms=terms,
         converged=converged, objective=objective, lambda_trace=trace)
@@ -336,7 +338,7 @@ def optimize_cutset(instance: RelayChannelInstance, powers: PowerBudget,
     solved = _max_min(_tones(instance, powers), _broadcast_gain(instance, powers),
                       settings)
     return _result(rates.cutset_rate, instance, powers, "cutset", solved,
-                   solved[0], solved[0])
+                   solved[0], solved[0].copy())  # a split's fields never alias
 
 
 def optimize_degraded(instance: RelayChannelInstance, powers: PowerBudget,
@@ -349,7 +351,7 @@ def optimize_degraded(instance: RelayChannelInstance, powers: PowerBudget,
     tones = _tones(instance, powers)
     solved = _max_min(tones, tones.sr, settings)
     return _result(rates.pdf_rate, instance, powers, "degraded", solved,
-                   solved[0] ** 2, 1.0)
+                   solved[0] ** 2, np.ones(instance.block_size))
 
 
 def _grid_steps(resolution: float, name: str = "resolution") -> int:

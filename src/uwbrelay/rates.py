@@ -19,12 +19,18 @@ cross coefficient sqrt(relay_mag * aux_mag) * exp(j*phase)
 
 Rates are in bits per complex sample (log base 2); multiply by the system
 bandwidth for bit/s.  Per-tone SNR helpers return raw values and never
-clamp; physically impossible inputs raise InvalidParameterError.  The
-split scorers (pdf_rate, cutset_rate, degraded_capacity_rate) read the
-SNRs from the unchecked cores behind those helpers, since their instance,
-powers and split were validated when built; only the broadcast cut's
-noise-correlation limit, which RelayChannelInstance does not enforce, is
-checked again.
+clamp.
+
+Validation happens once, at the boundary.  The public constructors
+(RelayChannelInstance, SplitParams, PowerBudget) and the public SNR
+helpers check every input; physically impossible ones raise
+InvalidParameterError or ValueError.  What the program derives from
+objects it already validated is not checked again: the split scorers
+(pdf_rate, cutset_rate, degraded_capacity_rate) read the SNRs from the
+unchecked cores behind the helpers, and an instance at another noise
+correlation or an optimizer's result split is built by _unchecked.  Only
+the broadcast cut's noise-correlation limit, which RelayChannelInstance
+does not enforce, is checked again where the cut is computed.
 """
 
 from __future__ import annotations
@@ -379,6 +385,17 @@ class SplitParams:
     def aux_corr(self) -> np.ndarray:
         """aux_mag * exp(j*phase)."""
         return self.aux_mag * np.exp(1j * self.phase)
+
+
+def _unchecked(cls, **values):
+    """A RelayChannelInstance or SplitParams holding values, built without
+    its checks.  Only for objects derived from already validated ones:
+    values must already have the form the checks would give them (arrays
+    of the block length, complex gains and noise correlation, float64
+    magnitudes in [0, 1] and phase)."""
+    obj = object.__new__(cls)
+    vars(obj).update(values)
+    return obj
 
 
 @dataclass

@@ -282,10 +282,9 @@ def dft_response(taps: ChannelTaps, block_size: int) -> FrequencyResponse:
     return FrequencyResponse(np.fft.fft(taps.taps, n=block_size))
 
 
-def write_taps_csv(path, links: dict[str, ChannelTaps], seed: int) -> str:
-    """Serialize per-link taps: one row per tap index, re/im per link.
-    All links must share the sample period; shorter links are zero-padded.
-    Returns the text; path=None renders without writing."""
+def write_taps_csv(links: dict[str, ChannelTaps], seed: int) -> str:
+    """Render per-link taps as CSV: one row per tap index, re/im per link.
+    All links must share the sample period; shorter links are zero-padded."""
     if not links:
         raise ValueError("need at least one link")
     periods = {taps.sample_period for taps in links.values()}
@@ -302,18 +301,13 @@ def write_taps_csv(path, links: dict[str, ChannelTaps], seed: int) -> str:
             cells.append(repr(float(g.real)))
             cells.append(repr(float(g.imag)))
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def write_response_csv(path, links: dict[str, FrequencyResponse],
+def write_response_csv(links: dict[str, FrequencyResponse],
                        sample_period: float, seed: int) -> str:
-    """Serialize per-link frequency responses: one row per tone, re/im per
-    link; the header records the block size, sample period and seed.
-    Returns the text; path=None renders without writing."""
+    """Render per-link frequency responses as CSV: one row per tone, re/im
+    per link; the header records the block size, sample period and seed."""
     if not links:
         raise ValueError("need at least one link")
     sizes = {resp.block_size for resp in links.values()}
@@ -330,8 +324,4 @@ def write_response_csv(path, links: dict[str, FrequencyResponse],
             cells.append(repr(float(g.real)))
             cells.append(repr(float(g.imag)))
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"

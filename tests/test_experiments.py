@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from uwbrelay.experiments import (
     SweepResult,
     build_instance,
     draw_fading,
-    draw_link_detail,
     draw_links,
     link_rng,
     powers_from_config,
@@ -21,7 +21,8 @@ from uwbrelay.experiments import (
     sweep_distance,
     sweep_rho,
 )
-from uwbrelay.optimizer import OptimizerSettings
+from uwbrelay.optimizer import OptimizerSettings, random_instance
+from uwbrelay.rates import RelayChannelInstance, SplitParams
 from uwbrelay.svchannel import SVParameters, TruncatedChannelWarning
 from uwbrelay.svgplot import parse_sweep_csv
 
@@ -185,11 +186,11 @@ def test_sweep_distance_is_sweep_rho_at_zero_correlation():
             assert np.array_equal(arr, expected[name]), (part, name)
 
 
-def test_write_csv_schema_scale_and_roundtrip(tmp_path):
+def test_write_csv_schema_scale_and_roundtrip():
     result = SweepResult("source_relay_distance_m", [1.0, 2.0],
                          means={"pdf": [1.5, 2.5]}, stderrs={"pdf": [0.1, 0.2]},
                          trials=4)
-    text = result.write_csv(None)
+    text = result.write_csv()
     lines = text.splitlines()
     assert lines[0] == "source_relay_distance_m,bound,mean_bits_per_sample,stderr,trials"
     assert lines[1] == "1.0,pdf,1.5,0.1,4"
@@ -197,12 +198,9 @@ def test_write_csv_schema_scale_and_roundtrip(tmp_path):
     assert axis_name == "source_relay_distance_m"
     assert rate_name == "bits_per_sample"
     assert groups["pdf"] == ([1.0, 2.0], [1.5, 2.5], [0.1, 0.2])
-    doubled = result.write_csv(None, rate_unit="bits_per_second", scale=2.0)
+    doubled = result.write_csv(rate_unit="bits_per_second", scale=2.0)
     assert "mean_bits_per_second" in doubled.splitlines()[0]
     assert parse_sweep_csv(doubled)[2]["pdf"][1] == [3.0, 5.0]
-    path = tmp_path / "sweep.csv"
-    assert result.write_csv(path) == text
-    assert path.read_text() == text
 
 
 def test_sweep_result_validation():
@@ -229,7 +227,7 @@ def test_sweep_result_validates_stderrs_like_means(stderrs, message):
                     stderrs=stderrs, trials=2)
     ok = SweepResult("d", [1.0, 2.0], means={"pdf": [1.0, 2.0]},
                      stderrs={"pdf": [0.0, 0.2]}, trials=2)
-    assert ok.write_csv(None).splitlines()[2] == "2.0,pdf,2.0,0.2,2"
+    assert ok.write_csv().splitlines()[2] == "2.0,pdf,2.0,0.2,2"
 
 
 def test_geometry():
@@ -264,13 +262,16 @@ def test_experiment_config_validation():
             ExperimentConfig(**{name: level})
 
 
-def test_draw_link_detail_consistency():
+def test_draw_links_response_is_fft_of_taps():
     config = ExperimentConfig(**SMALL)
-    taps, response = draw_link_detail(config, 2.0, link_rng(11, 0, 1))
-    assert taps.taps.size <= config.block_size
-    assert response.block_size == config.block_size
-    assert np.array_equal(response.gains,
-                          np.fft.fft(taps.taps, n=config.block_size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncatedChannelWarning)
+        links = draw_links(config, Geometry(3.0, 2.0), 0)
+    for taps, response in links.values():
+        assert taps.taps.size <= config.block_size
+        assert response.block_size == config.block_size
+        assert np.array_equal(response.gains,
+                              np.fft.fft(taps.taps, n=config.block_size))
 
 
 def test_draw_links_warns_about_dropped_energy():
@@ -356,3 +357,70 @@ def test_build_instance_rejects_a_foreign_fading_record():
     wider = ExperimentConfig(block_size=256, trials=2)
     with pytest.raises(ValueError, match="fading"):
         build_instance(wider, geometry, 0.0, 0, fading=fading)
+
+
+# the sweep-rho-b128 benchmark shape: block 128 at its four relay positions
+RHO_SWEEP = dict(block_size=128, trials=1, rho_values=(0.0, 0.6, 0.9),
+                 d2_grid=(0.3, 0.8333333333, 1.9, 2.4333333333))
+
+
+def test_trial_solve_checks_only_the_drawn_instance(monkeypatch):
+    # build_instance's instance is checked once; the later rho values'
+    # instances and every result split are derived from validated objects
+    config = ExperimentConfig(**RHO_SWEEP)
+    counts = dict.fromkeys((RelayChannelInstance, SplitParams), 0)
+    for cls in counts:
+        def counted(self, cls=cls, check=cls.__post_init__):
+            counts[cls] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    experiments._solve_trial(config, Geometry(3.0, 1.1), 0, config.rho_values)
+    assert counts == {RelayChannelInstance: 1, SplitParams: 0}
+
+
+def _bits(value):
+    value = np.asarray(value)
+    return value.dtype, value.shape, value.tobytes()
+
+
+def _same_fields(a, b, names):
+    return all(_bits(getattr(a, n)) == _bits(getattr(b, n)) for n in names)
+
+
+def _assert_unchecked_builds_match_checked(config, geometry, trial, monkeypatch):
+    seen = []
+    solve = experiments.optimize_cutset
+    monkeypatch.setattr(experiments, "optimize_cutset",
+                        lambda inst, *args: seen.append(inst) or solve(inst, *args))
+    first, _, pdf_res, df_res, cuts, _ = experiments._solve_trial(
+        config, geometry, trial, config.rho_values)
+    assert seen[0] is first and len(seen) == len(config.rho_values)
+    for instance, rho in zip(seen, config.rho_values):
+        assert isinstance(instance, RelayChannelInstance)
+        checked = replace(first, noise_corr=np.full(config.block_size, complex(rho)))
+        assert _same_fields(instance, checked, ("g_sd", "g_sr", "g_rd", "n_dest",
+                                                "n_relay", "noise_corr"))
+    for res in (pdf_res, df_res, *cuts):
+        split = res.split
+        checked = SplitParams(split.relay_mag, split.aux_mag, split.phase)
+        assert _same_fields(split, checked, ("relay_mag", "aux_mag", "phase"))
+
+
+def test_unchecked_builds_equal_the_checked_constructors(monkeypatch):
+    config = ExperimentConfig(**RHO_SWEEP, master_seed=9)
+    for trial in range(4):
+        for d2 in config.d2_grid:
+            with monkeypatch.context() as patch:
+                _assert_unchecked_builds_match_checked(
+                    config, Geometry(config.d1, d2), trial, patch)
+    # random gains, noises and powers in place of the model's draw
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        instance, powers = random_instance(config.block_size, rng)
+        instance = replace(instance, noise_corr=np.zeros(config.block_size))
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "build_instance", lambda *a, **k: instance)
+            patch.setattr(experiments, "powers_from_config", lambda _: (
+                powers, instance.n_dest, instance.n_relay))
+            _assert_unchecked_builds_match_checked(
+                config, Geometry(config.d1, 1.1), 0, patch)

@@ -47,7 +47,7 @@ def test_parse_sweep_csv_roundtrip():
                          means={"pdf": [1.5, 2.5], "df": [1.0, 2.0]},
                          stderrs={"pdf": [0.1, 0.2], "df": [0.0, 0.0]},
                          trials=4)
-    axis_name, rate_name, groups = parse_sweep_csv(result.write_csv(None))
+    axis_name, rate_name, groups = parse_sweep_csv(result.write_csv())
     assert axis_name == "source_relay_distance_m"
     assert rate_name == "bits_per_sample"
     assert list(groups) == ["pdf", "df"]
@@ -68,7 +68,7 @@ def test_sweep_chart_depends_only_on_text():
     result = SweepResult("source_relay_distance_m", [1.0, 2.0],
                          means={"pdf": [1.5, 2.5]}, stderrs={"pdf": [0.1, 0.2]},
                          trials=4)
-    text = result.write_csv(None)
+    text = result.write_csv()
     svg = sweep_chart(text, title="demo")
     assert svg == sweep_chart(str(text), title="demo")
     assert "source to relay distance (m)" in svg
