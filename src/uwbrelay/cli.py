@@ -6,6 +6,12 @@ channel draw, `bounds` evaluates every bound on it, `sweep-distance` and
 `oracle-check` compares the optimizer against exhaustive search on small
 random instances.
 
+This module owns the artifact formats.  Every per-index table (the
+channel taps, the channel tones, the per-tone bounds) is rendered by one
+column-wise helper, and every command's files go through one writer that
+adds the manifest.  The sweep table itself is SweepResult.write_csv,
+library API that svgplot.parse_sweep_csv reads back.
+
 All outputs are deterministic given the configuration, and files are
 written atomically (temp file + rename) so an interrupted run never
 leaves a truncated artifact.  Exit codes: 0 success, 1 failed check or
@@ -21,14 +27,15 @@ import sys
 import time
 import warnings
 
+import numpy as np
+
 from . import __version__
 from .configfile import (ANNOTATED_DEFAULTS, AppConfig, ConfigError,
                          config_signature, default_config, load_config)
-from .experiments import (Geometry, draw_links, run_trial, sweep_distance,
-                          sweep_rho)
+from .experiments import (ExperimentConfig, Geometry, draw_links, run_trial,
+                          sweep_distance, sweep_rho)
 from .optimizer import oracle_suite
-from .svchannel import (TruncatedChannelWarning, write_response_csv,
-                        write_taps_csv)
+from .svchannel import TruncatedChannelWarning
 from .svgplot import sweep_chart
 
 
@@ -39,19 +46,50 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_manifest(out_dir: str, command: str, config: AppConfig,
-                    outputs: list[str], rate_unit: str) -> str:
-    path = os.path.join(out_dir, f"{command}.manifest.txt")
-    lines = [
+def _emit(args: argparse.Namespace, command: str, config: AppConfig,
+          unit: str, files: dict[str, str]) -> int:
+    """Write each named text atomically into the output directory, in
+    order, then the command's manifest listing them; print their paths."""
+    paths = [os.path.join(args.output_dir, name) for name in files]
+    for path, text in zip(paths, files.values()):
+        _atomic_write(path, text)
+    manifest = [
         f"tool=uwbrelay {__version__}",
         f"command={command}",
         f"config_sha256={config_signature(config)}",
         f"master_seed={config.experiment.master_seed}",
-        f"rate_unit={rate_unit}",
-        f"outputs={','.join(outputs)}",
+        f"rate_unit={unit}",
+        f"outputs={','.join(files)}",
     ]
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return path
+    _atomic_write(os.path.join(args.output_dir, f"{command}.manifest.txt"),
+                  "\n".join(manifest) + "\n")
+    print("\n".join(paths))
+    return 0
+
+
+def _csv_table(index: str, columns: dict, comment: str | None = None) -> str:
+    """One row per index: the index first, then the repr of each column's
+    .tolist() value, with an optional comment line above the header."""
+    values = [column.tolist() for column in columns.values()]
+    rows = zip(map(str, range(len(values[0]))), *(map(repr, v) for v in values))
+    lines = [comment] if comment else []
+    return "\n".join([*lines, ",".join([index, *columns]), *map(",".join, rows)]) + "\n"
+
+
+def _channel_tables(exp: ExperimentConfig, links: dict) -> dict[str, str]:
+    """channel_taps.csv and channel_response.csv of one draw's links
+    {name: (taps, response)}: re/im columns per link, shorter tap spans
+    zero-padded to the longest."""
+    span = max(taps.taps.size for taps, _ in links.values())
+    taps, tones = {}, {}
+    for name, (link_taps, response) in links.items():
+        padded = np.pad(link_taps.taps, (0, span - link_taps.taps.size))
+        for table, values in ((taps, padded), (tones, response.gains)):
+            table[f"{name}_re"], table[f"{name}_im"] = values.real, values.imag
+    tail = f"sample_period_ns={exp.sample_period_ns!r} seed={exp.master_seed}"
+    return {"channel_taps.csv": _csv_table("tap", taps, f"# span={span} {tail}"),
+            "channel_response.csv": _csv_table(
+                "tone", tones, f"# block_size={exp.block_size} {tail}")}
 
 
 def _load(args: argparse.Namespace) -> AppConfig:
@@ -121,55 +159,23 @@ def _progress(args: argparse.Namespace, label: str, trials: int):
 def cmd_channel(args: argparse.Namespace) -> int:
     config = _load(args)
     exp = config.experiment
-    seed = exp.master_seed
     links = draw_links(exp, _first_geometry(config), args.trial)
-    taps = {name: link[0] for name, link in links.items()}
-    responses = {name: link[1] for name, link in links.items()}
-    taps_path = os.path.join(args.output_dir, "channel_taps.csv")
-    resp_path = os.path.join(args.output_dir, "channel_response.csv")
-    _atomic_write(taps_path, write_taps_csv(taps, seed))
-    _atomic_write(resp_path, write_response_csv(responses, exp.sample_period_ns,
-                                                seed))
-    _write_manifest(args.output_dir, "channel", config,
-                    [os.path.basename(taps_path), os.path.basename(resp_path)],
-                    rate_unit="none")
-    print(taps_path)
-    print(resp_path)
-    return 0
+    return _emit(args, "channel", config, "none", _channel_tables(exp, links))
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     config = _load(args)
     exp = config.experiment
-    geometry = _first_geometry(config)
-    rho = exp.rho_values[0]
-    report = run_trial(exp, geometry, rho, args.trial)
+    report = run_trial(exp, _first_geometry(config), exp.rho_values[0], args.trial)
     unit, scale = _rate_unit(args, config)
-
-    lines = [f"bound,rate_{unit}"]
-    for name, value in report.rows():
-        lines.append(f"{name},{value * scale!r}")
-    bounds_path = os.path.join(args.output_dir, "bounds.csv")
-    _atomic_write(bounds_path, "\n".join(lines) + "\n")
-    outputs = [os.path.basename(bounds_path)]
-    print(bounds_path)
-
+    rows = [f"{name},{value * scale!r}" for name, value in report.rows()]
+    files = {"bounds.csv": "\n".join([f"bound,rate_{unit}", *rows]) + "\n"}
     if args.per_tone:
-        names = list(report.per_tone)
-        columns = [report.per_tone[n].tolist() for n in names]
-        tone_lines = ["tone," + ",".join(names)]
-        tone_lines.extend(",".join(map(repr, (i, *row)))
-                          for i, row in enumerate(zip(*columns)))
-        tone_path = os.path.join(args.output_dir, "bounds_per_tone.csv")
-        _atomic_write(tone_path, "\n".join(tone_lines) + "\n")
-        outputs.append(os.path.basename(tone_path))
-        print(tone_path)
-
+        files["bounds_per_tone.csv"] = _csv_table("tone", report.per_tone)
     if args.verbose:
         for key, value in report.flags.items():
             print(f"# {key} = {value}", file=sys.stderr)
-    _write_manifest(args.output_dir, "bounds", config, outputs, unit)
-    return 0
+    return _emit(args, "bounds", config, unit, files)
 
 
 def _run_sweep(args: argparse.Namespace, command: str, runner, title: str) -> int:
@@ -177,17 +183,10 @@ def _run_sweep(args: argparse.Namespace, command: str, runner, title: str) -> in
     unit, scale = _rate_unit(args, config)
     result = runner(config.experiment,
                     progress=_progress(args, command, config.experiment.trials))
-    csv_name = command.replace("-", "_") + ".csv"
-    svg_name = command.replace("-", "_") + ".svg"
-    csv_path = os.path.join(args.output_dir, csv_name)
-    svg_path = os.path.join(args.output_dir, svg_name)
+    stem = command.replace("-", "_")
     csv_text = result.write_csv(rate_unit=unit, scale=scale)
-    _atomic_write(csv_path, csv_text)
-    _atomic_write(svg_path, sweep_chart(csv_text, title=title))
-    _write_manifest(args.output_dir, command, config, [csv_name, svg_name], unit)
-    print(csv_path)
-    print(svg_path)
-    return 0
+    return _emit(args, command, config, unit, {
+        f"{stem}.csv": csv_text, f"{stem}.svg": sweep_chart(csv_text, title=title)})
 
 
 def cmd_sweep_distance(args: argparse.Namespace) -> int:

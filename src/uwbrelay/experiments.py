@@ -13,11 +13,17 @@ and the shadowing draw, in that stream order; draw_fading) depends only on
 that key; its placement (the pathloss at the link's distance, then the
 DFT) depends on the geometry.  The sweeps draw each trial's fading once
 and place it at every relay position, so they draw 3 * trials links
-rather than 3 * points * trials, with the same instances either way.
+rather than 3 * points * trials, with the same instances either way.  A
+link that drops path energy beyond the block is reported once per draw,
+when its fading is drawn, not once per placement.
 
 Transmit and noise levels follow the UWB regulatory convention: a flat
 power spectral density in dBm/MHz integrated over the signal bandwidth.
 Rates are bits per complex sample.
+
+Nothing here writes files.  SweepResult.write_csv renders a sweep's
+table (svgplot.parse_sweep_csv reads it back); cli renders every other
+artifact.
 """
 
 from __future__ import annotations
@@ -193,36 +199,34 @@ def draw_fading(config: ExperimentConfig, trial_index: int) -> TrialFading:
     (master_seed, trial_index, link), so one record serves every relay
     position and noise correlation of the trial; build_instance(...,
     fading=record) places it.  A record holds about 2 KB of taps per
-    link."""
+    link.  Each link whose paths reach beyond block_size taps issues one
+    TruncatedChannelWarning naming it and its dropped energy share;
+    placing the record warns nothing."""
     seed = config.master_seed
     links = tuple((name, *_draw_link_fading(config, link_rng(seed, trial_index, link)))
                   for name, link in (("sd", LINK_SOURCE_DEST),
                                      ("sr", LINK_SOURCE_RELAY),
                                      ("rd", LINK_RELAY_DEST)))
+    for name, taps, _ in links:
+        if taps.dropped_share > 0.0:
+            warnings.warn(TruncatedChannelWarning(name, taps.dropped_share,
+                                                  config.block_size), stacklevel=2)
     return TrialFading(seed, trial_index, config.block_size, links)
 
 
 def _place_links(config: ExperimentConfig, geometry: Geometry,
                  fading: TrialFading):
-    """{name: (taps, response)} of a trial's fading placed at geometry.
-    Each link whose paths reach beyond block_size taps issues a
-    TruncatedChannelWarning naming it and its dropped energy share."""
+    """{name: (taps, response)} of a trial's fading placed at geometry."""
     distances = {"sd": geometry.d1, "sr": geometry.d2,
                  "rd": geometry.relay_dest_distance}
-    links = {name: _place_link(config, taps, shadowing_db, distances[name])
-             for name, taps, shadowing_db in fading.links}
-    for name, (taps, _) in links.items():
-        if taps.dropped_share > 0.0:
-            warnings.warn(TruncatedChannelWarning(name, taps.dropped_share,
-                                                  config.block_size), stacklevel=3)
-    return links
+    return {name: _place_link(config, taps, shadowing_db, distances[name])
+            for name, taps, shadowing_db in fading.links}
 
 
 def draw_links(config: ExperimentConfig, geometry: Geometry, trial_index: int):
     """All three links of a trial as {name: (taps, response)}, keyed-seeded
-    so changing one link's stream leaves the others bit-identical.  Each
-    link whose paths reach beyond block_size taps issues a
-    TruncatedChannelWarning naming it and its dropped energy share."""
+    so changing one link's stream leaves the others bit-identical.  The
+    draw warns as draw_fading does."""
     return _place_links(config, geometry, draw_fading(config, trial_index))
 
 
@@ -232,9 +236,9 @@ def build_instance(config: ExperimentConfig, geometry: Geometry, rho: float,
     """One frozen channel draw with a constant noise correlation.
 
     fading, when given, is draw_fading(config, trial_index) drawn once and
-    reused: the instance is the same as without it, only the draw is not
-    repeated.  A record drawn for another master seed, trial or block size
-    raises ValueError."""
+    reused: the instance is the same as without it, only the draw and its
+    truncation warnings are not repeated.  A record drawn for another
+    master seed, trial or block size raises ValueError."""
     if fading is None:
         fading = draw_fading(config, trial_index)
     elif ((fading.master_seed, fading.trial_index, fading.block_size)

@@ -490,7 +490,7 @@ def brute_force_oracle(instance: RelayChannelInstance, powers: PowerBudget,
         else:
             hi = mid
         iters += 1
-    return lo
+    return float(lo)
 
 
 def random_instance(block_size: int, rng: np.random.Generator):

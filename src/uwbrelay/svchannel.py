@@ -15,6 +15,9 @@ The shadowing draw (draw_shadowing_db) and the distance scaling
 (scale_pathloss) are separate steps, so one small-scale draw can be
 placed at several distances; apply_pathloss does both.
 
+The module only computes draws; the `channel` command (cli) renders a
+draw's taps and tones as CSV.
+
 All delays are in nanoseconds, all distances in meters.
 """
 
@@ -281,47 +284,3 @@ def dft_response(taps: ChannelTaps, block_size: int) -> FrequencyResponse:
             f"block_size ({block_size}) must be >= occupied tap span ({span})")
     return FrequencyResponse(np.fft.fft(taps.taps, n=block_size))
 
-
-def write_taps_csv(links: dict[str, ChannelTaps], seed: int) -> str:
-    """Render per-link taps as CSV: one row per tap index, re/im per link.
-    All links must share the sample period; shorter links are zero-padded."""
-    if not links:
-        raise ValueError("need at least one link")
-    periods = {taps.sample_period for taps in links.values()}
-    if len(periods) != 1:
-        raise ValueError("links must share a sample period")
-    span = max(taps.taps.size for taps in links.values())
-    names = list(links)
-    lines = [f"# span={span} sample_period_ns={periods.pop()!r} seed={seed}"]
-    lines.append("tap," + ",".join(f"{n}_re,{n}_im" for n in names))
-    for k in range(span):
-        cells = [str(k)]
-        for n in names:
-            g = links[n].taps[k] if k < links[n].taps.size else 0j
-            cells.append(repr(float(g.real)))
-            cells.append(repr(float(g.imag)))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def write_response_csv(links: dict[str, FrequencyResponse],
-                       sample_period: float, seed: int) -> str:
-    """Render per-link frequency responses as CSV: one row per tone, re/im
-    per link; the header records the block size, sample period and seed."""
-    if not links:
-        raise ValueError("need at least one link")
-    sizes = {resp.block_size for resp in links.values()}
-    if len(sizes) != 1:
-        raise ValueError("links must share a block size")
-    block = sizes.pop()
-    names = list(links)
-    lines = [f"# block_size={block} sample_period_ns={sample_period!r} seed={seed}"]
-    lines.append("tone," + ",".join(f"{n}_re,{n}_im" for n in names))
-    for i in range(block):
-        cells = [str(i)]
-        for n in names:
-            g = links[n].gains[i]
-            cells.append(repr(float(g.real)))
-            cells.append(repr(float(g.imag)))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

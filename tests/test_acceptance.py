@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from uwbrelay.cli import _channel_tables
 from uwbrelay.experiments import (
     ExperimentConfig,
     Geometry,
@@ -49,8 +50,6 @@ from uwbrelay.svchannel import (
     dft_response,
     discretize_taps,
     sample_impulse_response,
-    write_response_csv,
-    write_taps_csv,
 )
 
 
@@ -293,10 +292,7 @@ def _seeded_artifacts():
                               optimizer=OptimizerSettings(tone_grid_points=21,
                                                           refine_steps=2))
     links = draw_links(config, Geometry(config.d1, 1.0), 0)
-    return (write_taps_csv({name: link[0] for name, link in links.items()},
-                           seed=55),
-            write_response_csv({name: link[1] for name, link in links.items()},
-                               config.sample_period_ns, seed=55),
+    return (*_channel_tables(config, links).values(),
             sweep_distance(config).write_csv())
 
 

@@ -6,10 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from uwbrelay.cli import main
+from uwbrelay.cli import _channel_tables, _csv_table, main
 from uwbrelay.configfile import ANNOTATED_DEFAULTS
-from uwbrelay.experiments import ExperimentConfig, Geometry, run_trial
+from uwbrelay.experiments import ExperimentConfig, Geometry, draw_links, run_trial
 from uwbrelay.optimizer import OptimizerSettings
+from uwbrelay.svchannel import ChannelTaps, dft_response
 from uwbrelay.svgplot import parse_sweep_csv, sweep_chart
 
 SMALL_CFG = """\
@@ -57,6 +58,61 @@ def test_channel_outputs_and_reruns_identically(cfg_path, tmp_path, capsys):
     first = (taps.read_bytes(), resp.read_bytes())
     assert _run(args) == 0
     assert (taps.read_bytes(), resp.read_bytes()) == first
+
+
+def test_csv_table_renders_columns_after_the_index():
+    columns = {"x": np.array([0.1, -0.0]), "y": np.array([1e-300, 2.0])}
+    assert _csv_table("tone", columns) == "tone,x,y\n0,0.1,1e-300\n1,-0.0,2.0\n"
+    assert _csv_table("tap", {"x": np.array([3.0])}, "# note").splitlines() == [
+        "# note", "tap,x", "0,3.0"]
+
+
+def test_channel_tables_pad_shorter_links():
+    config = ExperimentConfig(block_size=4, master_seed=3)  # 2 ns samples
+    links = {name: (taps, dft_response(taps, config.block_size)) for name, taps in (
+        ("sd", ChannelTaps([1.0, 2.0j], sample_period=2.0)),
+        ("sr", ChannelTaps([0.5, 0.0, 1.0j], sample_period=2.0)))}
+    tables = _channel_tables(config, links)
+    assert list(tables) == ["channel_taps.csv", "channel_response.csv"]
+    # the shorter link is zero-padded on its last row
+    assert tables["channel_taps.csv"] == (
+        "# span=3 sample_period_ns=2.0 seed=3\n"
+        "tap,sd_re,sd_im,sr_re,sr_im\n"
+        "0,1.0,0.0,0.5,0.0\n"
+        "1,0.0,2.0,0.0,0.0\n"
+        "2,0.0,0.0,0.0,1.0\n")
+    lines = tables["channel_response.csv"].splitlines()
+    assert lines[0] == "# block_size=4 sample_period_ns=2.0 seed=3"
+    assert lines[1] == "tone,sd_re,sd_im,sr_re,sr_im"
+    assert len(lines) == 2 + 4
+
+
+def test_channel_csvs_hold_the_draw(tmp_path, capsys):
+    # block 128 keeps every path, so the three links end at different taps
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("experiment.block_size = 128\nexperiment.trials = 2\n"
+                   "experiment.d2_grid = 1.3\n")
+    out = tmp_path / "run"
+    assert _run(["channel", "--config", str(cfg), "--output-dir", str(out),
+                 "--trial", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    config = ExperimentConfig(block_size=128, trials=2, d2_grid=(1.3,))
+    links = draw_links(config, Geometry(config.d1, 1.3), 1)
+    spans = {taps.taps.size for taps, _ in links.values()}
+    assert len(spans) > 1
+    for file, block, index in (("channel_taps.csv", max(spans), 0),
+                               ("channel_response.csv", 128, 1)):
+        lines = (out / file).read_text().splitlines()
+        assert len(lines) == 2 + block
+        table = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
+        assert np.array_equal(table[:, 0], np.arange(block))
+        for k, (name, link) in enumerate(links.items()):
+            values = link[0].taps if index == 0 else link[1].gains
+            expected = np.zeros(block, dtype=complex)
+            expected[:values.size] = values
+            assert lines[1].split(",")[1 + 2 * k] == f"{name}_re"
+            assert np.array_equal(table[:, 1 + 2 * k] + 1j * table[:, 2 + 2 * k],
+                                  expected)
 
 
 def test_bounds_values_match_library(cfg_path, tmp_path, capsys):
@@ -167,6 +223,14 @@ def test_oracle_check_passes(cfg_path, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("oracle-check PASS: 6 comparisons")
     assert "bits" in out
+
+
+def test_oracle_check_verbose_prints_plain_floats(cfg_path, tmp_path, capsys):
+    assert _run(["oracle-check", "--config", cfg_path, "--output-dir",
+                 str(tmp_path), "--verbose"]) == 0
+    rows = capsys.readouterr().out.splitlines()[:-1]
+    assert len(rows) == 6 and any(row.startswith("block=2 ") for row in rows)
+    assert not any("np.float64(" in row for row in rows)
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
@@ -341,6 +405,20 @@ def test_dropped_tap_energy_reported_on_stderr(tmp_path, capsys):
             "uwbrelay: warning: link sd dropped 47% of its path energy beyond 8 taps")
         for path in out.iterdir():
             assert "dropped" not in path.read_text()
+
+
+@pytest.mark.parametrize("command", ["sweep-distance", "sweep-rho"])
+def test_sweep_reports_each_truncated_draw_once(command, tmp_path, capsys):
+    # 2 trials at 3 relay positions are 2 draws per link, not 6
+    cfg = tmp_path / "truncating.cfg"
+    cfg.write_text(TRUNCATING_CFG.replace("experiment.trials = 1",
+                                          "experiment.trials = 2")
+                   .replace("experiment.d2_grid = 1.0",
+                            "experiment.d2_grid = 0.5, 1.0, 2.0"))
+    assert _run([command, "--config", str(cfg), "--output-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split()[3] for line in lines] == ["sd", "sr", "rd"]
+    assert all(line.endswith(" (worst of 2 draws)") for line in lines)
 
 
 def test_dropped_tap_energy_reported_when_the_command_fails(tmp_path, capsys):

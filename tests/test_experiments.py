@@ -326,9 +326,16 @@ def _recorded(fn):
                      sv=SVParameters(max_delay=400.0)),
 ], ids=["b128", "b32", "b8-truncating"])
 def test_build_instance_places_a_held_fading_record(config):
+    # a truncated link is reported once per draw: by draw_fading and by a
+    # build_instance that draws, never by placing a held record
     fields = ("g_sd", "g_sr", "g_rd", "noise_corr")
     for trial in range(config.trials):
-        fading = draw_fading(config, trial)
+        fading, draw_warnings = _recorded(lambda: draw_fading(config, trial))
+        assert draw_warnings == [
+            (TruncatedChannelWarning, name, taps.dropped_share)
+            for name, taps, _ in fading.links if taps.dropped_share > 0.0]
+        if config.block_size == 8:
+            assert [link for _, link, _ in draw_warnings] == ["sd", "sr", "rd"]
         for d2, rho in ((0.3, 0.0), (1.0, 0.6), (2.7, 0.9)):
             geometry = Geometry(config.d1, d2)
             held, held_warnings = _recorded(
@@ -338,9 +345,8 @@ def test_build_instance_places_a_held_fading_record(config):
             for name in fields:
                 assert np.array_equal(getattr(held, name), getattr(fresh, name))
             assert (held.n_dest, held.n_relay) == (fresh.n_dest, fresh.n_relay)
-            assert held_warnings == fresh_warnings
-            if config.block_size == 8:
-                assert [link for _, link, _ in held_warnings] == ["sd", "sr", "rd"]
+            assert held_warnings == []
+            assert fresh_warnings == draw_warnings
 
 
 def test_build_instance_rejects_a_foreign_fading_record():

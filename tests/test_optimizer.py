@@ -290,6 +290,14 @@ def test_two_tone_oracle_equals_pair_enumeration():
     assert oracle == pytest.approx(enumerated, abs=1e-8)
 
 
+@pytest.mark.parametrize("objective", ["pdf", "cutset"])
+@pytest.mark.parametrize("block", [1, 2])
+def test_oracle_returns_a_python_float(block, objective):
+    # a numpy scalar would print as np.float64(...) in oracle-check --verbose
+    instance, powers = random_instance(block, np.random.default_rng(46))
+    assert type(brute_force_oracle(instance, powers, objective, 1e-2)) is float
+
+
 def test_oracle_suite_shape_and_determinism():
     rows_a = oracle_suite(2, 1, 1e-3, seed=5)
     rows_b = oracle_suite(2, 1, 1e-3, seed=5)

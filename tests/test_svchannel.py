@@ -18,8 +18,6 @@ from uwbrelay.svchannel import (
     draw_shadowing_db,
     sample_impulse_response,
     scale_pathloss,
-    write_response_csv,
-    write_taps_csv,
 )
 
 
@@ -190,54 +188,6 @@ def test_dft_block_must_cover_span():
     with pytest.raises(ValueError):
         dft_response(taps, 4)
     assert dft_response(taps, 5).block_size == 5
-
-
-def test_taps_csv_padding_and_write():
-    links = {
-        "sd": ChannelTaps([1.0, 2.0j], sample_period=2.0),
-        "sr": ChannelTaps([0.5, 0.0, 1.0j], sample_period=2.0),
-    }
-    text = write_taps_csv(links, seed=3)
-    lines = text.splitlines()
-    assert lines[0] == "# span=3 sample_period_ns=2.0 seed=3"
-    assert lines[1] == "tap,sd_re,sd_im,sr_re,sr_im"
-    assert len(lines) == 2 + 3
-    # shorter link zero-padded on its last row
-    assert lines[-1].split(",")[1:3] == ["0.0", "0.0"]
-
-
-def test_taps_csv_validation():
-    with pytest.raises(ValueError):
-        write_taps_csv({}, seed=0)
-    links = {
-        "a": ChannelTaps([1.0], sample_period=1.0),
-        "b": ChannelTaps([1.0], sample_period=2.0),
-    }
-    with pytest.raises(ValueError):
-        write_taps_csv(links, seed=0)
-
-
-def test_response_csv_roundtrip():
-    links = {
-        "sd": FrequencyResponse([1.0, 2.0j]),
-        "rd": FrequencyResponse([0.5, -1.0]),
-    }
-    text = write_response_csv(links, sample_period=2.0, seed=4)
-    lines = text.splitlines()
-    assert lines[0] == "# block_size=2 sample_period_ns=2.0 seed=4"
-    assert lines[1] == "tone,sd_re,sd_im,rd_re,rd_im"
-    assert len(lines) == 2 + 2
-
-
-def test_response_csv_validation():
-    with pytest.raises(ValueError):
-        write_response_csv({}, sample_period=2.0, seed=0)
-    links = {
-        "a": FrequencyResponse([1.0]),
-        "b": FrequencyResponse([1.0, 2.0]),
-    }
-    with pytest.raises(ValueError):
-        write_response_csv(links, sample_period=2.0, seed=0)
 
 
 def test_container_validation():
