@@ -6,11 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from uwbrelay.cli import _channel_tables, _csv_table, main
+from uwbrelay.cli import _csv_table, main
 from uwbrelay.configfile import ANNOTATED_DEFAULTS
 from uwbrelay.experiments import ExperimentConfig, Geometry, draw_links, run_trial
 from uwbrelay.optimizer import OptimizerSettings
-from uwbrelay.svchannel import ChannelTaps, dft_response
 from uwbrelay.svgplot import parse_sweep_csv, sweep_chart
 
 SMALL_CFG = """\
@@ -65,26 +64,6 @@ def test_csv_table_renders_columns_after_the_index():
     assert _csv_table("tone", columns) == "tone,x,y\n0,0.1,1e-300\n1,-0.0,2.0\n"
     assert _csv_table("tap", {"x": np.array([3.0])}, "# note").splitlines() == [
         "# note", "tap,x", "0,3.0"]
-
-
-def test_channel_tables_pad_shorter_links():
-    config = ExperimentConfig(block_size=4, master_seed=3)  # 2 ns samples
-    links = {name: (taps, dft_response(taps, config.block_size)) for name, taps in (
-        ("sd", ChannelTaps([1.0, 2.0j], sample_period=2.0)),
-        ("sr", ChannelTaps([0.5, 0.0, 1.0j], sample_period=2.0)))}
-    tables = _channel_tables(config, links)
-    assert list(tables) == ["channel_taps.csv", "channel_response.csv"]
-    # the shorter link is zero-padded on its last row
-    assert tables["channel_taps.csv"] == (
-        "# span=3 sample_period_ns=2.0 seed=3\n"
-        "tap,sd_re,sd_im,sr_re,sr_im\n"
-        "0,1.0,0.0,0.5,0.0\n"
-        "1,0.0,2.0,0.0,0.0\n"
-        "2,0.0,0.0,0.0,1.0\n")
-    lines = tables["channel_response.csv"].splitlines()
-    assert lines[0] == "# block_size=4 sample_period_ns=2.0 seed=3"
-    assert lines[1] == "tone,sd_re,sd_im,sr_re,sr_im"
-    assert len(lines) == 2 + 4
 
 
 def test_channel_csvs_hold_the_draw(tmp_path, capsys):

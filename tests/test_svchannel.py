@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from uwbrelay.cli import _channel_tables
+from uwbrelay.experiments import ExperimentConfig
 from uwbrelay.svchannel import (
     ChannelTaps,
     ContinuousImpulse,
@@ -188,6 +190,46 @@ def test_dft_block_must_cover_span():
     with pytest.raises(ValueError):
         dft_response(taps, 4)
     assert dft_response(taps, 5).block_size == 5
+
+
+def test_taps_csv_padding_and_write():
+    # a draw's tables are rendered by the CLI; block 4 gives 2 ns samples
+    config = ExperimentConfig(block_size=4, master_seed=3)
+    links = {name: (taps, dft_response(taps, config.block_size)) for name, taps in (
+        ("sd", ChannelTaps([1.0, 2.0j], sample_period=2.0)),
+        ("sr", ChannelTaps([0.5, 0.0, 1.0j], sample_period=2.0)))}
+    text = _channel_tables(config, links)["channel_taps.csv"]
+    lines = text.splitlines()
+    assert lines[0] == "# span=3 sample_period_ns=2.0 seed=3"
+    assert lines[1] == "tap,sd_re,sd_im,sr_re,sr_im"
+    assert len(lines) == 2 + 3
+    # shorter link zero-padded on its last row
+    assert lines[-1].split(",")[1:3] == ["0.0", "0.0"]
+    assert text == (
+        "# span=3 sample_period_ns=2.0 seed=3\n"
+        "tap,sd_re,sd_im,sr_re,sr_im\n"
+        "0,1.0,0.0,0.5,0.0\n"
+        "1,0.0,2.0,0.0,0.0\n"
+        "2,0.0,0.0,0.0,1.0\n")
+
+
+def test_response_csv_roundtrip():
+    config = ExperimentConfig(block_size=4, master_seed=4)
+    links = {
+        "sd": (ChannelTaps([1.0], sample_period=2.0),
+               FrequencyResponse([1.0, 2.0j, -0.5, 0.25 - 1.5j])),
+        "rd": (ChannelTaps([1.0], sample_period=2.0),
+               FrequencyResponse([0.5, -1.0, 1e-300j, -0.0])),
+    }
+    lines = _channel_tables(config, links)["channel_response.csv"].splitlines()
+    assert lines[0] == "# block_size=4 sample_period_ns=2.0 seed=4"
+    assert lines[1] == "tone,sd_re,sd_im,rd_re,rd_im"
+    assert len(lines) == 2 + 4
+    table = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
+    assert np.array_equal(table[:, 0], np.arange(4))
+    for k, (_, response) in enumerate(links.values()):
+        assert np.array_equal(table[:, 1 + 2 * k] + 1j * table[:, 2 + 2 * k],
+                              response.gains)
 
 
 def test_container_validation():
