@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 import time
@@ -228,6 +229,8 @@ def cmd_default_config(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the command line.  --output-dir parses to None
+    when not given; main then reads $UWBRELAY_OUTPUT_DIR, or uses '.'."""
     parser = argparse.ArgumentParser(
         prog="uwbrelay",
         description="Capacity bounds for wideband multipath relay channels.")
@@ -237,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH",
                         help="configuration file (flat section.key = value)")
     common.add_argument("--output-dir", metavar="DIR",
-                        default=os.environ.get("UWBRELAY_OUTPUT_DIR", "."),
                         help="artifact directory (default: $UWBRELAY_OUTPUT_DIR or .)")
     common.add_argument("--seed", type=int, default=None,
                         help="override the configured master seed")
@@ -280,10 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building it costs about as much as a small op
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "output_dir", None):
+    args = _parser().parse_args(argv)
+    if args.output_dir is None:
+        args.output_dir = os.environ.get("UWBRELAY_OUTPUT_DIR", ".")
+    if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
     try:
         with _report_dropped_energy():

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rates
+from . import optimizer, rates
 from .optimizer import (OptimizerSettings, optimize_cutset, optimize_degraded,
                         optimize_pdf)
 from .rates import PowerBudget, RateReport, RelayChannelInstance
@@ -265,6 +265,12 @@ def _solve_trial(config: ExperimentConfig, geometry: Geometry,
     from config.rho_values, which ExperimentConfig bounds, so their
     instances are the validated one with only noise_corr swapped.
 
+    The optimizers' per-tone scalars do not read the noise correlation,
+    so they are computed once and shared by every solve.  Where the relay
+    hears the source at least as well as the destination on every tone
+    (sr >= sd), the df problem is the pdf one, and df_res is the pdf solve
+    relabelled rather than a second solve of it.
+
     Returns (instance, powers, pdf_res, df_res, cuts, direct_rate); the
     instance carries rho_values[0] and cuts holds one optimize_cutset
     result per correlation value."""
@@ -272,12 +278,16 @@ def _solve_trial(config: ExperimentConfig, geometry: Geometry,
                               fading=fading)
     powers, n_dest, _ = powers_from_config(config)
     settings = config.optimizer
-    pdf_res = optimize_pdf(instance, powers, settings)
-    df_res = optimize_degraded(instance, powers, settings)
+    tones = optimizer._tones(instance, powers)
+    pdf_res = optimize_pdf(instance, powers, settings, tones=tones)
+    if np.all(tones.sr >= tones.sd):
+        df_res = optimizer._degraded_from_pdf(pdf_res)
+    else:
+        df_res = optimize_degraded(instance, powers, settings, tones=tones)
     per_rho = [instance] + [rates._unchecked(RelayChannelInstance, **{
         **vars(instance), "noise_corr": np.full(config.block_size, complex(rho))})
         for rho in rho_values[1:]]
-    cuts = [optimize_cutset(inst, powers, settings) for inst in per_rho]
+    cuts = [optimize_cutset(inst, powers, settings, tones=tones) for inst in per_rho]
     direct_value = rates.direct_rate(instance.g_sd, 2.0 * powers.p_src, n_dest)
     return instance, powers, pdf_res, df_res, cuts, direct_value
 

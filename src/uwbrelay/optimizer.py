@@ -15,8 +15,15 @@ of _tones and a per-tone gain M:
 * partial decode-and-forward: M = max(sr, sd).  At a fixed t = a*b the
   decode term is log(1 + sr*(1 - t)) plus a bracket in b that is monotone
   and 0 at b = 1, so the best b is 1 when sr >= sd and t when sd > sr:
-  split (t, 1) or (1, t), and (0, 0) at t = 0 when sd > sr;
+  split (t, 1) or (1, t), and (0, 0) at t = 0 when sd > sr.  Where
+  sr >= sd on every tone, M is sr and the split is (t, 1): the pdf and df
+  problems are one, and _degraded_from_pdf turns the pdf result into the
+  df one, bit for bit;
 * cut-set: M is the broadcast-cut gain bc of _broadcast_gain, split (s, s).
+
+B, C, sr and sd do not read the noise correlation, so a caller that solves
+several bounds of one draw computes _tones once and passes it to each
+optimizer as tones=, every correlation value's cut-set included.
 
 Both terms are concave in s.  For a weight lam the weighted sum
 lam*F1 + (1 - lam)*F2 separates across tones, and its per-tone maximizer
@@ -230,15 +237,16 @@ def _bracket_root(gap, lo, hi, gap_lo, gap_hi, tolerance, max_probes):
     return (a, b, converged) if fa <= 0.0 else (b, a, converged)
 
 
-def _weighted_maximizer(lam, base, cross, gain):
-    """Per-tone maximizer over [0, 1] of lam*F1 + (1 - lam)*F2.  Both terms
-    are concave in s, so it is the nonnegative root of the stationarity
-    quadratic (2 - lam)*C*M*s^2 + 2*(1 - lam)*M*(1 + B)*s = lam*C*(1 + M),
-    in cancellation-free form, clipped to 1.  A zero denominator leaves
-    only the linear pull of F1: s = 1 where it is positive, else 0."""
-    lin = 2.0 * (1.0 - lam) * gain * (1.0 + base)
+def _weighted_maximizer(lam, base_1, cross, gain, gain_1):
+    """Per-tone maximizer over [0, 1] of lam*F1 + (1 - lam)*F2, given
+    base_1 = 1 + B and gain_1 = 1 + M.  Both terms are concave in s, so it
+    is the nonnegative root of the stationarity quadratic
+    (2 - lam)*C*M*s^2 + 2*(1 - lam)*M*(1 + B)*s = lam*C*(1 + M), in
+    cancellation-free form, clipped to 1.  A zero denominator leaves only
+    the linear pull of F1: s = 1 where it is positive, else 0."""
+    lin = 2.0 * (1.0 - lam) * gain * base_1
     quad = (2.0 - lam) * cross * gain
-    const = lam * cross * (1.0 + gain)
+    const = lam * cross * gain_1
     den = lin + np.sqrt(lin * lin + 4.0 * quad * const)
     s = np.divide(2.0 * const, den, out=(const > 0.0).astype(float),
                   where=den > 0.0)
@@ -252,23 +260,25 @@ def _max_min(tones: _Tones, gain: np.ndarray, settings: OptimizerSettings):
     evaluated; converged is False when the weight search hit its probe
     cap."""
     base, cross = tones.base, tones.cross
+    base_1, gain_1 = 1.0 + base, 1.0 + gain  # shared by every weighted solve
     trace = []
     best = []
     ends = {}  # (s, F1 - F2) of the last weighted solve on each side of 0
 
     def evaluate(s):
         # np.add.reduce(x) / x.size is what np.mean computes, minus its
-        # per-call overhead
+        # per-call overhead; the sum divides as a Python float, the same
+        # IEEE operation without numpy scalar arithmetic
         first = np.log1p(base + cross * s)
         second = np.log1p(gain * (1.0 - s * s))
-        value = (float(np.add.reduce(first) / first.size) / LN2,
-                 float(np.add.reduce(second) / second.size) / LN2)
+        value = (float(np.add.reduce(first)) / first.size / LN2,
+                 float(np.add.reduce(second)) / second.size / LN2)
         if not best or min(value) > min(best[1]):  # earliest point takes ties
             best[:] = s, value
         return value
 
     def weighted(lam):
-        s = _weighted_maximizer(lam, base, cross, gain)
+        s = _weighted_maximizer(lam, base_1, cross, gain, gain_1)
         first, second = evaluate(s)
         trace.append((lam, first, second))
         ends[first - second > 0.0] = s, first - second
@@ -314,14 +324,17 @@ def _result(rate, instance, powers, objective, solved, relay_mag,
 
 
 def optimize_pdf(instance: RelayChannelInstance, powers: PowerBudget,
-                 settings: OptimizerSettings | None = None) -> OptimizationResult:
+                 settings: OptimizerSettings | None = None, *,
+                 tones: _Tones | None = None) -> OptimizationResult:
     """Maximize the partial decode-and-forward rate over per-tone split
     magnitudes with aligned phases.  Per tone the split is
     (a, b) = (t, 1) where the source-relay gain is at least the direct
     one, and (1, t), or (0, 0) at t = 0, where it is weaker (see the
-    module docstring)."""
+    module docstring).  tones, when given, is _tones(instance, powers) of
+    these arguments."""
     settings = settings or OptimizerSettings()
-    tones = _tones(instance, powers)
+    if tones is None:
+        tones = _tones(instance, powers)
     solved = _max_min(tones, np.maximum(tones.sr, tones.sd), settings)
     t = solved[0] ** 2
     relay_first = tones.sr >= tones.sd
@@ -331,27 +344,48 @@ def optimize_pdf(instance: RelayChannelInstance, powers: PowerBudget,
 
 
 def optimize_cutset(instance: RelayChannelInstance, powers: PowerBudget,
-                    settings: OptimizerSettings | None = None) -> OptimizationResult:
+                    settings: OptimizerSettings | None = None, *,
+                    tones: _Tones | None = None) -> OptimizationResult:
     """Maximize the cut-set upper bound over the per-tone correlation
-    product t, reported as a split with equal magnitudes s = sqrt(t)."""
+    product t, reported as a split with equal magnitudes s = sqrt(t).
+    tones, when given, is _tones(instance, powers) of these arguments; it
+    does not read the noise correlation."""
     settings = settings or OptimizerSettings()
-    solved = _max_min(_tones(instance, powers), _broadcast_gain(instance, powers),
-                      settings)
+    if tones is None:
+        tones = _tones(instance, powers)
+    solved = _max_min(tones, _broadcast_gain(instance, powers), settings)
     return _result(rates.cutset_rate, instance, powers, "cutset", solved,
                    solved[0], solved[0].copy())  # a split's fields never alias
 
 
 def optimize_degraded(instance: RelayChannelInstance, powers: PowerBudget,
-                      settings: OptimizerSettings | None = None) -> OptimizationResult:
+                      settings: OptimizerSettings | None = None, *,
+                      tones: _Tones | None = None) -> OptimizationResult:
     """Maximize the full-decode (decode-and-forward) rate: the auxiliary
     coefficient magnitude is fixed at 1 and only the cooperative
     coefficient is solved for.  On a degraded channel this attains
-    capacity."""
+    capacity.  tones, when given, is _tones(instance, powers) of these
+    arguments."""
     settings = settings or OptimizerSettings()
-    tones = _tones(instance, powers)
+    if tones is None:
+        tones = _tones(instance, powers)
     solved = _max_min(tones, tones.sr, settings)
     return _result(rates.pdf_rate, instance, powers, "degraded", solved,
                    solved[0] ** 2, np.ones(instance.block_size))
+
+
+def _degraded_from_pdf(result: OptimizationResult) -> OptimizationResult:
+    """optimize_degraded's result, bit for bit, from the optimize_pdf
+    result of the same arguments when sr >= sd on every tone: pdf's gain
+    max(sr, sd) is then sr, and its split (t, 1) is df's (t, ones), scored
+    by the same rates.pdf_rate.  No field aliases the pdf result's."""
+    split = result.split
+    return OptimizationResult(
+        split=rates._unchecked(SplitParams, relay_mag=split.relay_mag.copy(),
+                               aux_mag=split.aux_mag.copy(),
+                               phase=split.phase.copy()),
+        rate=result.rate, terms=result.terms, converged=result.converged,
+        objective="degraded", lambda_trace=list(result.lambda_trace))
 
 
 def _grid_steps(resolution: float, name: str = "resolution") -> int:
@@ -397,6 +431,23 @@ def _frontier(first, second):
     keep[0] = True
     keep[1:] = second[1:] > np.maximum.accumulate(second)[:-1]
     return first[keep], second[keep]
+
+
+def _grid_frontier(first, second, stride: int = 8):
+    """_frontier of the points of 2-D term grids, bit for bit, without
+    sorting the whole cloud.  The frontier of a stride-subgrid is a
+    staircase of cloud points; a point that one of them beats in both
+    terms strictly sorts after it and has a smaller second, so it is
+    neither kept nor decides another point's keep, and is dropped first."""
+    stair_first, stair_second = _frontier(first[::stride, ::stride].ravel(),
+                                          second[::stride, ::stride].ravel())
+    first, second = first.ravel(), second.ravel()
+    # by first ascending the staircase's second falls, so of the staircase
+    # points whose first exceeds a point's, the first has the largest second
+    best = np.append(stair_second[::-1], -np.inf)[
+        np.searchsorted(stair_first[::-1], first, side="right")]
+    keep = best <= second
+    return _frontier(first[keep], second[keep])
 
 
 def brute_force_oracle(instance: RelayChannelInstance, powers: PowerBudget,
@@ -463,8 +514,7 @@ def brute_force_oracle(instance: RelayChannelInstance, powers: PowerBudget,
     index = np.arange(steps + 1)
 
     def cloud(k):
-        first, second = pdf_terms(k)(index[:, None], index[None, :])
-        return _frontier(first.ravel(), second.ravel())
+        return _grid_frontier(*pdf_terms(k)(index[:, None], index[None, :]))
 
     # a point beaten in both terms by another of its tone never decides
     # feasibility, nor the maxima that bound the bisection

@@ -431,9 +431,10 @@ class RateReport:
 
 def _mean_bits(snr: np.ndarray) -> float:
     """Tone mean of log2(1 + snr): np.mean(cap(snr)) bit for bit, without
-    cap's check; np.add.reduce(x) / x.size is what np.mean computes."""
+    cap's check; np.add.reduce(x) / x.size is what np.mean computes, here
+    divided as a Python float."""
     bits = np.log1p(snr) / LN2
-    return np.add.reduce(bits) / bits.size
+    return float(np.add.reduce(bits)) / bits.size
 
 
 def _min_of_means(instance: RelayChannelInstance, powers: PowerBudget,

@@ -16,6 +16,7 @@ from uwbrelay.cli import _channel_tables
 from uwbrelay.experiments import (
     ExperimentConfig,
     Geometry,
+    _place_link,
     build_instance,
     draw_fading,
     draw_links,
@@ -162,6 +163,38 @@ def _model_degraded_coincidence():
     return checked, worst
 
 
+def _model_reversely_degraded_coincidence():
+    """On seeded block-128 draws of the model with the relay 3, 6 and 12 m
+    beyond the destination (source-relay link at d2, relay-destination link
+    at d2 - d1), the draws whose reversely degraded noise correlation is
+    valid on every tone, each installed at that correlation: (draws
+    checked, worst relative gap of the cut-set and of pdf to
+    reversely_degraded_capacity)."""
+    config = ExperimentConfig(block_size=128, trials=30, master_seed=9)
+    powers, n_dest, n_relay = powers_from_config(config)
+    checked, worst = 0, 0.0
+    for trial in range(config.trials):
+        fading = draw_fading(config, trial)
+        for beyond in (3.0, 6.0, 12.0):
+            d2 = config.d1 + beyond
+            distances = {"sd": config.d1, "sr": d2, "rd": d2 - config.d1}
+            gains = {name: _place_link(config, taps, shadowing_db,
+                                       distances[name])[1].gains
+                     for name, taps, shadowing_db in fading.links}
+            rho, valid = reversely_degraded_noise_correlation(
+                gains["sd"], gains["sr"], n_dest, n_relay)
+            if not np.all(valid):
+                continue
+            instance = RelayChannelInstance(
+                g_sd=gains["sd"], g_sr=gains["sr"], g_rd=gains["rd"],
+                n_dest=n_dest, n_relay=n_relay, noise_corr=rho)
+            closed = reversely_degraded_capacity(instance, powers.p_src)
+            for bound in (optimize_cutset, optimize_pdf):
+                worst = max(worst, abs(bound(instance, powers).rate - closed) / closed)
+            checked += 1
+    return checked, worst
+
+
 def test_criterion_2_degraded_capacity_coincidence():
     start = time.perf_counter()
     rng = np.random.default_rng(2002)
@@ -211,11 +244,17 @@ def test_criterion_3_reversely_degraded_capacity():
     # pdf gain M is sd and F2(0) = mean log2(1 + sd) never exceeds
     # F1(0) = mean log2(1 + B): the lam = 0 solve, s = 0, is optimal and
     # maps to aux magnitude exactly 0
-    ok = worst_gap <= 2e-3 and worst_aux == 0.0 and violations == 0
+    model_checked, model_worst = _model_reversely_degraded_coincidence()
+    ok = (worst_gap <= 2e-3 and worst_aux == 0.0 and violations == 0
+          and model_checked >= 40 and model_worst <= 1e-12)
     _verdict("criterion 3 (reversely degraded capacity)", ok,
              f"max |cutset - direct closed form| {worst_gap:.2e} bits (tol 2e-3), "
              f"max optimal |aux| {worst_aux!r} (must be 0), "
-             f"excess-SNR violations {violations}/{draws} (min {zeta_min:.2e})")
+             f"excess-SNR violations {violations}/{draws} (min {zeta_min:.2e}); "
+             f"{model_checked} of 90 block-128 model draws with the relay "
+             f"beyond the destination reversely degraded (need >= 40), on them "
+             f"max relative |cutset, pdf - direct closed form| "
+             f"{model_worst:.1e}, tol 1e-12")
 
 
 def test_criterion_4_oracle_equivalence():

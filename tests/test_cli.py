@@ -300,11 +300,12 @@ def test_seed_override_changes_outputs(cfg_path, tmp_path, capsys):
 
 
 def test_output_dir_env_default(cfg_path, tmp_path, monkeypatch, capsys):
-    target = tmp_path / "from_env"
-    monkeypatch.setenv("UWBRELAY_OUTPUT_DIR", str(target))
-    assert _run(["bounds", "--config", cfg_path]) == 0
-    capsys.readouterr()
-    assert (target / "bounds.csv").is_file()
+    # main reuses one parser, so the variable is read at each parse
+    for target in (tmp_path / "from_env", tmp_path / "changed_env"):
+        monkeypatch.setenv("UWBRELAY_OUTPUT_DIR", str(target))
+        assert _run(["bounds", "--config", cfg_path]) == 0
+        capsys.readouterr()
+        assert (target / "bounds.csv").is_file()
 
 
 def test_version_flag(capsys):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uwbrelay import experiments
+from uwbrelay import experiments, optimizer
 from uwbrelay.experiments import (
     ExperimentConfig,
     Geometry,
@@ -30,6 +30,10 @@ from uwbrelay.svgplot import parse_sweep_csv
 SMALL = dict(block_size=32, trials=2, d2_grid=(1.0, 2.0), rho_values=(0.0, 0.5),
              master_seed=11, optimizer=OptimizerSettings(tone_grid_points=21,
                                                          refine_steps=2))
+
+# the sweep-rho-b128 benchmark shape: block 128 at its four relay positions
+RHO_SWEEP = dict(block_size=128, trials=1, rho_values=(0.0, 0.6, 0.9),
+                 d2_grid=(0.3, 0.8333333333, 1.9, 2.4333333333))
 
 # frozen single-trial reference at block_size 128 (default optimizer)
 TRIAL_GOLDEN = {
@@ -101,17 +105,34 @@ def test_run_trial_golden_values():
 
 
 def test_trial_searches_the_full_decode_problem_once(monkeypatch):
+    # df's problem is pdf's where sr >= sd on every tone: the trial then
+    # relabels the pdf solve, and solves df once where some tone has sd > sr
+    config = ExperimentConfig(**RHO_SWEEP, master_seed=9)
+    powers = powers_from_config(config)[0]
     calls = []
     degraded = experiments.optimize_degraded
-
-    def counting_degraded(*args, **kwargs):
-        calls.append(1)
-        return degraded(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "optimize_degraded", counting_degraded)
-    report = run_trial(ExperimentConfig(**SMALL), Geometry(3.0, 1.0), 0.5, 0)
-    assert len(calls) == 1
-    assert report.df_rate <= report.pdf_rate
+    monkeypatch.setattr(experiments, "optimize_degraded", lambda *args, **kwargs:
+                        calls.append(1) or degraded(*args, **kwargs))
+    for d2, weaker_tones, solves in ((0.3, 0, 0), (0.8333333333, 1, 1)):
+        calls.clear()
+        instance, _, pdf_res, df_res, _, _ = experiments._solve_trial(
+            config, Geometry(config.d1, d2), 0, config.rho_values)
+        tones = optimizer._tones(instance, powers)
+        assert np.count_nonzero(tones.sd > tones.sr) == weaker_tones
+        assert len(calls) == solves
+        fresh = degraded(instance, powers, config.optimizer)
+        assert ((df_res.rate, df_res.terms, df_res.lambda_trace, df_res.converged,
+                 df_res.objective)
+                == (fresh.rate, fresh.terms, fresh.lambda_trace, fresh.converged,
+                    "degraded"))
+        assert _same_fields(df_res.split, fresh.split,
+                            ("relay_mag", "aux_mag", "phase"))
+        assert df_res.rate <= pdf_res.rate
+        # a relabelled result shares no mutable field with the pdf result
+        assert df_res.lambda_trace is not pdf_res.lambda_trace
+        for name in ("relay_mag", "aux_mag", "phase"):
+            assert not np.shares_memory(getattr(df_res.split, name),
+                                        getattr(pdf_res.split, name))
 
 
 def test_run_trial_is_deterministic_and_consistent():
@@ -365,11 +386,6 @@ def test_build_instance_rejects_a_foreign_fading_record():
         build_instance(wider, geometry, 0.0, 0, fading=fading)
 
 
-# the sweep-rho-b128 benchmark shape: block 128 at its four relay positions
-RHO_SWEEP = dict(block_size=128, trials=1, rho_values=(0.0, 0.6, 0.9),
-                 d2_grid=(0.3, 0.8333333333, 1.9, 2.4333333333))
-
-
 def test_trial_solve_checks_only_the_drawn_instance(monkeypatch):
     # build_instance's instance is checked once; the later rho values'
     # instances and every result split are derived from validated objects
@@ -397,7 +413,8 @@ def _assert_unchecked_builds_match_checked(config, geometry, trial, monkeypatch)
     seen = []
     solve = experiments.optimize_cutset
     monkeypatch.setattr(experiments, "optimize_cutset",
-                        lambda inst, *args: seen.append(inst) or solve(inst, *args))
+                        lambda inst, *args, **kwargs:
+                        seen.append(inst) or solve(inst, *args, **kwargs))
     first, _, pdf_res, df_res, cuts, _ = experiments._solve_trial(
         config, geometry, trial, config.rho_values)
     assert seen[0] is first and len(seen) == len(config.rho_values)

@@ -247,6 +247,26 @@ def test_two_tone_oracle_equals_the_dense_grid():
                 == _dense_oracle(instance, powers, 1e-2))
 
 
+@pytest.mark.parametrize("stride", [1, 3, 8])
+def test_grid_frontier_is_the_frontier_of_the_whole_cloud(stride):
+    # bit for bit, order included: on pdf term grids and on integer grids,
+    # whose many ties in both terms test the strict comparisons
+    rng = np.random.default_rng(46)
+    clouds = [rng.integers(0, 12, size=(2, 40, 40)).astype(float) for _ in range(5)]
+    axis = np.linspace(0.0, 1.0, 101)
+    a, b = axis[:, None], axis[None, :]
+    for instance, powers in [random_instance(2, rng) for _ in range(3)] + [k2_instance()]:
+        for base, cross, sr, sd in zip(*optimizer._tones(instance, powers)):
+            first = np.log1p(base + cross * np.sqrt(a * b)) / rates.LN2
+            second = (np.log1p(sr * (1.0 - a) * b / (sr * (1.0 - b) + 1.0))
+                      + np.log1p(sd * (1.0 - b))) / rates.LN2
+            clouds.append((first, second))
+    for first, second in clouds:
+        whole = optimizer._frontier(first.ravel(), second.ravel())
+        pruned = optimizer._grid_frontier(first, second, stride)
+        assert [x.tobytes() for x in pruned] == [x.tobytes() for x in whole]
+
+
 def test_one_tone_oracle_allocates_no_grid():
     # the dense 1001 x 1001 grid peaked at about 23 MB
     instance, powers = random_instance(1, np.random.default_rng(45))
@@ -478,7 +498,8 @@ def test_weighted_root_is_a_stationary_point(objective):
         base, cross, gain = _one_dimensional(objective, instance, powers)
         trace = OPTIMIZERS[objective](instance, powers).lambda_trace
         for lam in [lam for lam, _, _ in trace] + list(np.linspace(0.0, 1.0, 11)):
-            s = optimizer._weighted_maximizer(lam, base, cross, gain)
+            s = optimizer._weighted_maximizer(lam, 1.0 + base, cross, gain,
+                                              1.0 + gain)
             # the slope of lam*F1 + (1 - lam)*F2 in s, times the positive
             # (1 + B + C*s)*(1 + M*(1 - s^2)), is const - lin*s - quad*s^2;
             # compared in the scale of its parts, since at high SNR one ulp
@@ -501,6 +522,24 @@ def test_certified_dual_gap(objective):
         result = OPTIMIZERS[objective](instance, powers)
         assert 0.0 <= result.dual_gap <= 1e-9
         assert result.converged
+
+
+@pytest.mark.parametrize("objective", sorted(OPTIMIZERS))
+def test_shared_tones_give_the_same_result(objective):
+    # tones= only saves recomputing _tones; the noise correlation does not
+    # enter it, so the cut-set may take it from an instance at another rho
+    for instance, powers in CERTIFICATE_CASES:
+        alone = OPTIMIZERS[objective](instance, powers)
+        other_rho = replace(instance, noise_corr=np.zeros(instance.block_size))
+        shared = OPTIMIZERS[objective](
+            instance, powers, tones=optimizer._tones(other_rho, powers))
+        assert ((shared.rate, shared.terms, shared.lambda_trace, shared.converged,
+                 shared.objective)
+                == (alone.rate, alone.terms, alone.lambda_trace, alone.converged,
+                    alone.objective))
+        for name in ("relay_mag", "aux_mag", "phase"):
+            assert (getattr(shared.split, name).tobytes()
+                    == getattr(alone.split, name).tobytes())
 
 
 def test_weighted_solve_count_on_the_block128_draws():
