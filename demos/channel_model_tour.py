@@ -32,8 +32,8 @@ for d in (1.0, 2.0, 4.0):
           f"{pl.ref_loss_db + 10 * pl.exponent * np.log10(d / pl.ref_distance):6.2f} dB)")
 
 print("\n=== frequency response and Parseval ===")
-resp = u.dft_response(taps, block_size=1024)
-tone_energy = np.mean(np.abs(resp.gains) ** 2)
+gains = u.dft_response(taps, block_size=1024)
+tone_energy = np.mean(np.abs(gains) ** 2)
 print(f"(1/K) sum |G_i|^2 = {tone_energy:.12f}")
 print(f"sum |g_k|^2       = {taps.energy:.12f}")
 print(f"difference        = {abs(tone_energy - taps.energy):.3e}")

@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 from .svchannel import (
     SVParameters, PathlossParameters, ContinuousImpulse, ChannelTaps,
-    FrequencyResponse, DegenerateChannelError, TruncatedChannelWarning,
+    DegenerateChannelError, TruncatedChannelWarning,
     sample_impulse_response, discretize_taps, draw_shadowing_db,
     scale_pathloss, apply_pathloss, dft_response,
 )
@@ -50,7 +50,7 @@ __all__ = [
     "__version__",
     # svchannel
     "SVParameters", "PathlossParameters", "ContinuousImpulse", "ChannelTaps",
-    "FrequencyResponse", "DegenerateChannelError", "TruncatedChannelWarning",
+    "DegenerateChannelError", "TruncatedChannelWarning",
     "sample_impulse_response", "discretize_taps", "draw_shadowing_db",
     "scale_pathloss", "apply_pathloss", "dft_response",
     # rates

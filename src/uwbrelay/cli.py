@@ -49,8 +49,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _emit(args: argparse.Namespace, command: str, config: AppConfig,
           unit: str, files: dict[str, str]) -> int:
-    """Write each named text atomically into the output directory, in
-    order, then the command's manifest listing them; print their paths."""
+    """Write each named text atomically into the output directory (made
+    here, so commands that write nothing leave no directory), in order,
+    then the command's manifest listing them; print their paths."""
+    if args.output_dir:
+        os.makedirs(args.output_dir, exist_ok=True)
     paths = [os.path.join(args.output_dir, name) for name in files]
     for path, text in zip(paths, files.values()):
         _atomic_write(path, text)
@@ -85,7 +88,7 @@ def _channel_tables(exp: ExperimentConfig, links: dict) -> dict[str, str]:
     taps, tones = {}, {}
     for name, (link_taps, response) in links.items():
         padded = np.pad(link_taps.taps, (0, span - link_taps.taps.size))
-        for table, values in ((taps, padded), (tones, response.gains)):
+        for table, values in ((taps, padded), (tones, response)):
             table[f"{name}_re"], table[f"{name}_im"] = values.real, values.imag
     tail = f"sample_period_ns={exp.sample_period_ns!r} seed={exp.master_seed}"
     return {"channel_taps.csv": _csv_table("tap", taps, f"# span={span} {tail}"),
@@ -290,8 +293,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.output_dir is None:
         args.output_dir = os.environ.get("UWBRELAY_OUTPUT_DIR", ".")
-    if args.output_dir:
-        os.makedirs(args.output_dir, exist_ok=True)
     try:
         with _report_dropped_energy():
             return args.func(args)

@@ -250,8 +250,8 @@ def build_instance(config: ExperimentConfig, geometry: Geometry, rho: float,
     links = _place_links(config, geometry, fading)
     _, n_dest, n_relay = powers_from_config(config)
     return RelayChannelInstance(
-        g_sd=links["sd"][1].gains, g_sr=links["sr"][1].gains,
-        g_rd=links["rd"][1].gains, n_dest=n_dest, n_relay=n_relay,
+        g_sd=links["sd"][1], g_sr=links["sr"][1], g_rd=links["rd"][1],
+        n_dest=n_dest, n_relay=n_relay,
         noise_corr=np.full(config.block_size, complex(rho)))
 
 

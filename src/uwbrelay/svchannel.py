@@ -9,8 +9,8 @@ unit total energy before pathloss is applied.
 
 The continuous profile is then binned into baseband taps on a uniform
 sample grid, scaled by a log-distance pathloss law with optional
-log-normal shadowing, and transformed with an unnormalized forward DFT to
-obtain the per-tone frequency response used by the rate expressions.
+log-normal shadowing, and transformed with an unnormalized forward DFT
+into the array of per-tone complex gains that the rate expressions read.
 The shadowing draw (draw_shadowing_db) and the distance scaling
 (scale_pathloss) are separate steps, so one small-scale draw can be
 placed at several distances; apply_pathloss does both.
@@ -30,7 +30,7 @@ import numpy as np
 
 
 class DegenerateChannelError(ValueError):
-    """Raised when a parameter set cannot produce any path in the window."""
+    """Raised for an impulse response without paths or without energy."""
 
 
 class TruncatedChannelWarning(UserWarning):
@@ -128,7 +128,6 @@ class ChannelTaps:
     of the path energy that fell beyond the last allowed tap."""
 
     taps: np.ndarray
-    sample_period: float
     dropped_share: float = 0.0
 
     def __post_init__(self) -> None:
@@ -137,30 +136,10 @@ class ChannelTaps:
             raise ValueError("taps must be a nonempty 1-D array")
         if not np.all(np.isfinite(self.taps)):
             raise ValueError("taps must be finite")
-        if not (math.isfinite(self.sample_period) and self.sample_period > 0):
-            raise ValueError(f"sample_period must be > 0, got {self.sample_period!r}")
 
     @property
     def energy(self) -> float:
         return float(np.sum(np.abs(self.taps) ** 2))
-
-
-@dataclass
-class FrequencyResponse:
-    """Per-tone complex gains of one link over a DFT block."""
-
-    gains: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.gains = np.asarray(self.gains, dtype=complex)
-        if self.gains.ndim != 1 or self.gains.size < 1:
-            raise ValueError("gains must be a nonempty 1-D array")
-        if not np.all(np.isfinite(self.gains)):
-            raise ValueError("gains must be finite")
-
-    @property
-    def block_size(self) -> int:
-        return int(self.gains.size)
 
 
 def sample_impulse_response(params: SVParameters, rng: np.random.Generator) -> ContinuousImpulse:
@@ -180,11 +159,10 @@ def sample_impulse_response(params: SVParameters, rng: np.random.Generator) -> C
     n_clusters = 0
     while n_clusters == 0:
         n_clusters = int(rng.poisson(params.mean_cluster_count))
-    if n_clusters > 1:
-        gaps = rng.exponential(1.0 / params.cluster_arrival_rate, size=n_clusters - 1)
-        cluster_times = np.concatenate(([0.0], np.cumsum(gaps)))
-    else:
-        cluster_times = np.array([0.0])
+    # a size-0 draw leaves the generator's state as it was, so one path
+    # covers single clusters and clusters without extra rays
+    gaps = rng.exponential(1.0 / params.cluster_arrival_rate, size=n_clusters - 1)
+    cluster_times = np.concatenate(([0.0], np.cumsum(gaps)))
     cluster_times = cluster_times[cluster_times <= params.max_delay]
 
     delays = []
@@ -192,11 +170,8 @@ def sample_impulse_response(params: SVParameters, rng: np.random.Generator) -> C
     for t_cluster in cluster_times:
         window = params.max_delay - t_cluster
         n_extra = int(rng.poisson(params.ray_arrival_rate * window))
-        if n_extra > 0:
-            extra = np.sort(rng.uniform(0.0, window, size=n_extra))
-            ray_delays = np.concatenate(([0.0], extra))
-        else:
-            ray_delays = np.array([0.0])
+        extra = np.sort(rng.uniform(0.0, window, size=n_extra))
+        ray_delays = np.concatenate(([0.0], extra))
         delays.append(t_cluster + ray_delays)
         mean_powers.append(
             math.exp(-t_cluster / params.cluster_decay)
@@ -204,9 +179,6 @@ def sample_impulse_response(params: SVParameters, rng: np.random.Generator) -> C
 
     delays = np.concatenate(delays)
     mean_powers = np.concatenate(mean_powers)
-    if delays.size == 0:
-        raise DegenerateChannelError(
-            "no path fell inside max_delay; parameters are degenerate")
 
     magnitudes = rng.rayleigh(scale=np.sqrt(mean_powers / 2.0))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=delays.size)
@@ -241,7 +213,7 @@ def discretize_taps(impulse: ContinuousImpulse, sample_period: float,
     dropped = float(np.sum(np.abs(impulse.gains[~keep]) ** 2))
     dropped = dropped / total if total > 0 else 0.0
     # a copy, so a held draw does not keep all max_taps bins alive
-    return ChannelTaps(taps[:span].copy(), sample_period, dropped)
+    return ChannelTaps(taps[:span].copy(), dropped)
 
 
 def draw_shadowing_db(params: PathlossParameters, rng: np.random.Generator) -> float:
@@ -261,7 +233,7 @@ def scale_pathloss(taps: ChannelTaps, distance: float, params: PathlossParameter
                + 10.0 * params.exponent * math.log10(distance / params.ref_distance)
                + shadowing_db)
     scale = 10.0 ** (-loss_db / 20.0)
-    return ChannelTaps(taps.taps * scale, taps.sample_period, taps.dropped_share)
+    return ChannelTaps(taps.taps * scale, taps.dropped_share)
 
 
 def apply_pathloss(taps: ChannelTaps, distance: float, params: PathlossParameters,
@@ -271,9 +243,9 @@ def apply_pathloss(taps: ChannelTaps, distance: float, params: PathlossParameter
     return scale_pathloss(taps, distance, params, draw_shadowing_db(params, rng))
 
 
-def dft_response(taps: ChannelTaps, block_size: int) -> FrequencyResponse:
-    """Unnormalized forward DFT of the taps over block_size tones:
-    G_i = sum_k g_k exp(-j 2 pi i k / block_size).
+def dft_response(taps: ChannelTaps, block_size: int) -> np.ndarray:
+    """Per-tone complex gains of the link: the unnormalized forward DFT of
+    the taps over block_size tones, G_i = sum_k g_k exp(-j 2 pi i k / block_size).
 
     block_size must cover the occupied tap span so the block sees the
     whole response (no circular truncation).
@@ -282,5 +254,5 @@ def dft_response(taps: ChannelTaps, block_size: int) -> FrequencyResponse:
     if block_size < span:
         raise ValueError(
             f"block_size ({block_size}) must be >= occupied tap span ({span})")
-    return FrequencyResponse(np.fft.fft(taps.taps, n=block_size))
+    return np.fft.fft(taps.taps, n=block_size)
 

@@ -94,10 +94,6 @@ def line_chart(series: list[Series], x_label: str, y_label: str,
     y_ticks = _ticks(min(ys), max(ys))
     x_lo, x_hi = min(x_ticks[0], min(xs)), max(x_ticks[-1], max(xs))
     y_lo, y_hi = min(y_ticks[0], min(ys)), max(y_ticks[-1], max(ys))
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM

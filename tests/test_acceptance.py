@@ -179,7 +179,7 @@ def _model_reversely_degraded_coincidence():
             d2 = config.d1 + beyond
             distances = {"sd": config.d1, "sr": d2, "rd": d2 - config.d1}
             gains = {name: _place_link(config, taps, shadowing_db,
-                                       distances[name])[1].gains
+                                       distances[name])[1]
                      for name, taps, shadowing_db in fading.links}
             rho, valid = reversely_degraded_noise_correlation(
                 gains["sd"], gains["sr"], n_dest, n_relay)
@@ -344,8 +344,8 @@ def test_criterion_8_channel_model_statistics():
     for i in range(realizations):
         impulse = sample_impulse_response(params, rng)
         taps = discretize_taps(impulse, sample_period=2.0, max_taps=128)
-        response = dft_response(taps, 128)
-        tone_mean = float(np.mean(np.abs(response.gains) ** 2))
+        gains = dft_response(taps, 128)
+        tone_mean = float(np.mean(np.abs(gains) ** 2))
         worst_parseval = max(worst_parseval,
                              abs(tone_mean - taps.energy) / taps.energy)
         energies[i] = taps.energy

@@ -2,10 +2,12 @@
 
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from uwbrelay import cli
 from uwbrelay.cli import _csv_table, main
 from uwbrelay.configfile import ANNOTATED_DEFAULTS
 from uwbrelay.experiments import ExperimentConfig, Geometry, draw_links, run_trial
@@ -86,7 +88,7 @@ def test_channel_csvs_hold_the_draw(tmp_path, capsys):
         table = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
         assert np.array_equal(table[:, 0], np.arange(block))
         for k, (name, link) in enumerate(links.items()):
-            values = link[0].taps if index == 0 else link[1].gains
+            values = link[0].taps if index == 0 else link[1]
             expected = np.zeros(block, dtype=complex)
             expected[:values.size] = values
             assert lines[1].split(",")[1 + 2 * k] == f"{name}_re"
@@ -97,13 +99,16 @@ def test_channel_csvs_hold_the_draw(tmp_path, capsys):
 def test_bounds_values_match_library(cfg_path, tmp_path, capsys):
     out = tmp_path / "run"
     args = ["bounds", "--config", cfg_path, "--output-dir", str(out), "--per-tone"]
-    assert _run(args) == 0
-    capsys.readouterr()
+    assert _run(args + ["--verbose"]) == 0
+    err = capsys.readouterr().err.splitlines()
     config = ExperimentConfig(block_size=32, trials=2, d2_grid=(1.0, 2.0),
                               rho_values=(0.0, 0.5), master_seed=11,
                               optimizer=OptimizerSettings(tone_grid_points=21,
                                                           refine_steps=2))
     report = run_trial(config, Geometry(3.0, 1.0), 0.0, trial_index=0)
+    # --verbose prints the six flags, then block 32's three truncation lines
+    assert len(report.flags) == 6 and len(err) == 6 + 3
+    assert err[:6] == [f"# {key} = {value}" for key, value in report.flags.items()]
     lines = (out / "bounds.csv").read_text().splitlines()
     assert lines[0] == "bound,rate_bits_per_sample"
     values = {name: float(v) for name, v in (ln.split(",") for ln in lines[1:])}
@@ -212,6 +217,30 @@ def test_oracle_check_verbose_prints_plain_floats(cfg_path, tmp_path, capsys):
     assert not any("np.float64(" in row for row in rows)
 
 
+def test_oracle_check_without_instances_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "none.cfg"
+    cfg.write_text("oracle.k1_instances = 0\noracle.k2_instances = 0\n")
+    assert _run(["oracle-check", "--config", str(cfg),
+                 "--output-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "oracle-check: no instances configured\n"
+
+
+def test_other_warnings_are_still_shown(cfg_path, tmp_path, monkeypatch, capsys):
+    # only truncation warnings are folded into stderr summary lines
+    def noisy_run_trial(*args, **kwargs):
+        warnings.warn("solver note", RuntimeWarning)
+        return run_trial(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_trial", noisy_run_trial)
+    with pytest.warns(RuntimeWarning, match="solver note"):
+        assert _run(["bounds", "--config", cfg_path,
+                     "--output-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split()[3] for line in lines] == ["sd", "sr", "rd"]
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("experiment.bogus = 1\n")
@@ -263,6 +292,14 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         assert "configuration error" in err
         assert line.split()[0].split(".")[1] in err
         assert not (tmp_path / "psd" / "bounds.csv").exists()
+    # a pathloss law without a positive slope
+    slope = tmp_path / "slope.cfg"
+    slope.write_text("pathloss.exponent = 0\n")
+    assert _run(["channel", "--config", str(slope),
+                 "--output-dir", str(tmp_path / "slope")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "exponent" in err
     # an oracle step that does not divide [0, 1] into whole steps
     for value in ("0.3", "0.4"):
         grid = tmp_path / "grid.cfg"
@@ -297,6 +334,31 @@ def test_seed_override_changes_outputs(cfg_path, tmp_path, capsys):
     assert text_a != (out_b / "bounds.csv").read_text()
     assert text_a == (out_c / "bounds.csv").read_text()
     assert "master_seed=1" in (out_a / "bounds.manifest.txt").read_text()
+
+
+def test_output_dir_made_only_where_files_are_written(cfg_path, tmp_path,
+                                                      monkeypatch, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("experiment.bogus = 1\n")
+    runs = ((["default-config"], 0), (["oracle-check", "--config", cfg_path], 0),
+            (["bounds", "--config", str(bad)], 2))
+    for args, code in runs:
+        flag = tmp_path / "flag" / args[0]
+        assert _run(args + ["--output-dir", str(flag)]) == code
+        env = tmp_path / "env" / args[0]
+        monkeypatch.setenv("UWBRELAY_OUTPUT_DIR", str(env))
+        assert _run(args) == code
+        monkeypatch.delenv("UWBRELAY_OUTPUT_DIR")
+        assert not flag.exists() and not env.exists()
+    capsys.readouterr()
+    nested = tmp_path / "a" / "b" / "c"
+    assert _run(["channel", "--config", cfg_path, "--output-dir", str(nested)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == str(nested / "channel_taps.csv")
+    assert (nested / "channel.manifest.txt").is_file()
+    # a directory that cannot be made is a runtime error, not a traceback
+    blocked = nested / "channel_taps.csv" / "run"
+    assert _run(["channel", "--config", cfg_path, "--output-dir", str(blocked)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("uwbrelay: error:")
 
 
 def test_output_dir_env_default(cfg_path, tmp_path, monkeypatch, capsys):

@@ -255,6 +255,10 @@ def test_geometry():
     assert Geometry(3.0, 1.9).relay_dest_distance == pytest.approx(1.1)
     with pytest.raises(ValueError):
         Geometry(3.0, 3.0)
+    for d1, d2, name in ((0.0, 1.0, "d1"), (-3.0, 1.0, "d1"),
+                         (3.0, 0.0, "d2"), (3.0, -1.0, "d2")):
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            Geometry(d1, d2)
 
 
 def test_experiment_config_validation():
@@ -274,6 +278,14 @@ def test_experiment_config_validation():
         ExperimentConfig(d2_grid=(3.5,))
     with pytest.raises(ValueError):
         ExperimentConfig(master_seed=-1)
+    for kwargs, message in (({"bandwidth_mhz": 0.0}, "bandwidth_mhz"),
+                            ({"bandwidth_mhz": -500.0}, "bandwidth_mhz"),
+                            ({"block_size": 0}, "block_size"),
+                            ({"d2_grid": ()}, "d2_grid must not be empty"),
+                            ({"d1": 0.0}, "d1 must be > 0"),
+                            ({"d1": -3.0}, "d1 must be > 0")):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**kwargs)
     # PSD levels must be finite and integrate to a finite, positive power
     for name, level in (("psd_tx_dbm_per_mhz", math.nan),
                         ("psd_noise_dbm_per_mhz", math.inf),
@@ -288,11 +300,10 @@ def test_draw_links_response_is_fft_of_taps():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncatedChannelWarning)
         links = draw_links(config, Geometry(3.0, 2.0), 0)
-    for taps, response in links.values():
+    for taps, gains in links.values():
         assert taps.taps.size <= config.block_size
-        assert response.block_size == config.block_size
-        assert np.array_equal(response.gains,
-                              np.fft.fft(taps.taps, n=config.block_size))
+        assert gains.shape == (config.block_size,)
+        assert np.array_equal(gains, np.fft.fft(taps.taps, n=config.block_size))
 
 
 def test_draw_links_warns_about_dropped_energy():

@@ -1,5 +1,8 @@
 """SVG chart emission: determinism and CSV coupling."""
 
+import math
+import re
+
 import pytest
 
 from uwbrelay.experiments import SweepResult
@@ -18,8 +21,14 @@ def test_line_chart_deterministic_and_escaped():
 
 
 def test_line_chart_flat_series_renders():
-    svg = line_chart([Series("flat", [1.0, 2.0], [5.0, 5.0])], "x", "y")
-    assert "<polyline" in svg
+    # _ticks pads a flat range, so every axis spans a nonzero width
+    for series in (Series("flat", [1.0, 2.0], [5.0, 5.0]),
+                   Series("point", [1.5], [0.25]),
+                   Series("zero", [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])):
+        svg = line_chart([series], "x", "y")
+        assert "<polyline" in svg
+        coords = re.findall(r' (?:c?[xy][12]?)="([^"]*)"', svg)
+        assert coords and all(math.isfinite(float(v)) for v in coords)
 
 
 def test_line_chart_error_bars():
