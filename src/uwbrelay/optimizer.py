@@ -39,11 +39,11 @@ original (a, b) grid, with the plain real closed forms of both terms and
 none of the reduction above.  It rests only on the monotonicity of those
 closed forms.  Down a column of fixed b the multiple-access term rises
 with a and the decode term falls, so a column's best point sits at the
-row where they cross, and one bisection per column finds it.  For two
-tones a grid point that another point of its tone beats in both terms
-never decides the pairing, so the pair search runs on each tone's
-frontier of unbeaten points.  Both return exactly the value of
-evaluating every grid point.
+row where they cross, and one bisection per column finds it.  Two tones
+pair into a grid with the same column order, searched by the same
+bisection; for pdf each tone contributes only its frontier of points
+that no other point of the tone beats in both terms.  Every search
+returns exactly the value of evaluating every grid point or pair.
 """
 
 from __future__ import annotations
@@ -401,23 +401,24 @@ def _grid_steps(resolution: float, name: str = "resolution") -> int:
     return steps
 
 
-def _column_crossings(terms, n: int) -> float:
-    """max of min(first, second) over an n x n grid whose terms(rows, cols)
-    are nondecreasing (first) and nonincreasing (second) down every column.
-    A column's maximum is then first at the row before the crossing (the
-    first row where first >= second) or second at the crossing; the
-    crossing is bisected in all columns at once."""
-    cols = np.arange(n)
-    lo, hi = np.zeros(n, dtype=np.intp), np.full(n, n)  # crossing row in [lo, hi]
-    for _ in range(n.bit_length()):
+def _column_crossings(terms, rows: int, cols: int) -> float:
+    """max of min(first, second) over a rows x cols grid whose
+    terms(row_indices, col_indices) are nondecreasing (first) and
+    nonincreasing (second) down every column.  A column's maximum is then
+    first at the row before the crossing (the first row where
+    first >= second) or second at the crossing; the crossing is bisected
+    in all columns at once."""
+    col = np.arange(cols)
+    lo, hi = np.zeros(cols, dtype=np.intp), np.full(cols, rows)  # crossing row in [lo, hi]
+    for _ in range(rows.bit_length()):
         mid = (lo + hi) // 2
-        first, second = terms(np.minimum(mid, n - 1), cols)
+        first, second = terms(np.minimum(mid, rows - 1), col)
         open_ = lo < hi
         above = first >= second
         hi = np.where(open_ & above, mid, hi)
         lo = np.where(open_ & ~above, mid + 1, lo)
-    below = np.where(lo > 0, terms(np.maximum(lo - 1, 0), cols)[0], -np.inf)
-    at = np.where(lo < n, terms(np.minimum(lo, n - 1), cols)[1], -np.inf)
+    below = np.where(lo > 0, terms(np.maximum(lo - 1, 0), col)[0], -np.inf)
+    at = np.where(lo < rows, terms(np.minimum(lo, rows - 1), col)[1], -np.inf)
     return float(np.max(np.maximum(below, at)))
 
 
@@ -458,13 +459,14 @@ def brute_force_oracle(instance: RelayChannelInstance, powers: PowerBudget,
 
     The terms are the plain real closed forms: over (a, b) for pdf, over
     t = a*b for the cut-set.  Down a pdf column (fixed b) the first term
-    rises with a and the second falls, so the one-tone maximum is found
-    from each column's crossing row, and a two-tone search needs only the
-    points of each tone's cloud that no other point beats in both terms.
-    Both give the value of evaluating every grid point, bit for bit.  The
-    two-tone pairing is resolved exactly by bisecting the achieved rate
-    against a sorted-suffix feasibility test, which is algebraically
-    identical to enumerating all grid pairs.
+    rises with a and the second falls, so _column_crossings finds the
+    one-tone maximum from each column's crossing row.  Two tones pair into
+    a grid of the same kind: columns are the first tone's points, rows the
+    second tone's, ordered so the first term rises and the second falls.
+    For the cut-set those are the t axis; for pdf, each tone's points that
+    no other point of the tone beats in both terms.  Every step of a
+    pair's terms is monotone under rounding, so each search returns the
+    value of evaluating every grid point, or every pair, bit for bit.
     """
     if instance.block_size > 2:
         raise ValueError("brute_force_oracle supports block sizes 1 and 2 only")
@@ -498,49 +500,24 @@ def brute_force_oracle(instance: RelayChannelInstance, powers: PowerBudget,
             return first, second
         return terms
 
-    if objective == "cutset":
-        u1, u2 = cutset_terms(0)
-        if instance.block_size == 1:
-            return float(np.max(np.minimum(u1, u2)))
-        v1, v2 = cutset_terms(1)
-        # small enough to enumerate all pairs directly
-        pair_first = 0.5 * (u1[:, None] + v1[None, :])
-        pair_second = 0.5 * (u2[:, None] + v2[None, :])
-        return float(np.max(np.minimum(pair_first, pair_second)))
-
     if instance.block_size == 1:
-        return _column_crossings(pdf_terms(0), steps + 1)
+        if objective == "cutset":
+            return float(np.max(np.minimum(*cutset_terms(0))))
+        return _column_crossings(pdf_terms(0), steps + 1, steps + 1)
+    if objective == "cutset":
+        (u1, u2), (v1, v2) = cutset_terms(0), cutset_terms(1)
+    else:
+        index = np.arange(steps + 1)
+        (u1, u2), (v1, v2) = (
+            _grid_frontier(*pdf_terms(k)(index[:, None], index[None, :]))
+            for k in (0, 1))
+        v1, v2 = v1[::-1], v2[::-1]  # a frontier lists first descending
 
-    index = np.arange(steps + 1)
-
-    def cloud(k):
-        return _grid_frontier(*pdf_terms(k)(index[:, None], index[None, :]))
-
-    # a point beaten in both terms by another of its tone never decides
-    # feasibility, nor the maxima that bound the bisection
-    (u1, u2), (v1, v2) = cloud(0), cloud(1)
-    order = np.argsort(v1, kind="stable")
-    v1_sorted = v1[order]
-    suffix_best = np.maximum.accumulate(v2[order][::-1])[::-1]
-    suffix_best = np.append(suffix_best, -np.inf)
-
-    def feasible(rate: float) -> bool:
-        need_first = 2.0 * rate - u1
-        need_second = 2.0 * rate - u2
-        pos = np.searchsorted(v1_sorted, need_first, side="left")
-        return bool(np.any(suffix_best[pos] >= need_second))
-
-    lo = 0.0  # always feasible: every term is nonnegative
-    hi = min(0.5 * (u1.max() + v1.max()), 0.5 * (u2.max() + v2.max())) + 1e-9
-    iters = 0
-    while hi - lo > 1e-9 and iters < 80:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-    return float(lo)
+    def pair_terms(rows, cols):
+        """Both terms of pairing the first tone's points cols with the
+        second tone's points rows."""
+        return 0.5 * (u1[cols] + v1[rows]), 0.5 * (u2[cols] + v2[rows])
+    return _column_crossings(pair_terms, v1.size, u1.size)
 
 
 def random_instance(block_size: int, rng: np.random.Generator):

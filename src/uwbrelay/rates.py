@@ -77,10 +77,18 @@ def _check_disc(name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _check_positive(**values) -> None:
+    """Raise ValueError naming the first of the keyword values that is not
+    finite and > 0 (nan, +-inf, 0 or negative)."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def cap(snr):
-    """Gaussian capacity function log2(1 + snr); snr must be >= 0."""
+    """Gaussian capacity function log2(1 + snr); snr must be >= 0, not nan."""
     arr = _as_float(snr)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise ValueError(f"cap() requires snr >= 0, got min {float(arr.min())!r}")
     out = np.log1p(arr) / LN2
     return float(out[0]) if np.isscalar(snr) or np.ndim(snr) == 0 else out
@@ -102,8 +110,7 @@ def mac_cut_snr(g_sd, g_rd, p_src, p_rel, n_dest, relay_corr, aux_corr) -> np.nd
     make the capacity undefined and raise InvalidParameterError; they are
     unreachable for splits inside the unit disc.
     """
-    if p_src <= 0 or p_rel <= 0 or n_dest <= 0:
-        raise ValueError("powers and noise must be > 0")
+    _check_positive(p_src=p_src, p_rel=p_rel, n_dest=n_dest)
     relay_corr = _check_disc("relay_corr", _as_complex(relay_corr))
     aux_corr = _check_disc("aux_corr", _as_complex(aux_corr))
     snr = _mac_snr(_as_complex(g_sd), _as_complex(g_rd), p_src, p_rel, n_dest,
@@ -131,8 +138,7 @@ def decode_cut_snr(g_sd, g_sr, p_src, n_dest, n_relay, relay_corr, aux_corr) -> 
     destination decodes the fresh remainder."""
     g_sd = _as_complex(g_sd)
     g_sr = _as_complex(g_sr)
-    if p_src <= 0 or n_dest <= 0 or n_relay <= 0:
-        raise ValueError("powers and noise must be > 0")
+    _check_positive(p_src=p_src, n_dest=n_dest, n_relay=n_relay)
     relay_mag = np.abs(_check_disc("relay_corr", _as_complex(relay_corr)))
     aux_mag = np.abs(_check_disc("aux_corr", _as_complex(aux_corr)))
     return _decode_snr(g_sd, g_sr, p_src, n_dest, n_relay, relay_mag, aux_mag)
@@ -172,8 +178,7 @@ def broadcast_cut_snr(g_sd, g_sr, p_src, n_dest, n_relay, relay_corr, aux_corr,
     """
     g_sd = _as_complex(g_sd)
     g_sr = _as_complex(g_sr)
-    if p_src <= 0 or n_dest <= 0 or n_relay <= 0:
-        raise ValueError("powers and noise must be > 0")
+    _check_positive(p_src=p_src, n_dest=n_dest, n_relay=n_relay)
     rho = _as_complex(noise_corr)
     _check_noise_corr(rho)
     relay_mag = np.abs(_check_disc("relay_corr", _as_complex(relay_corr)))
@@ -189,8 +194,7 @@ def mac_excess_snr(g_sd, g_rd, p_src, p_rel, n_dest, aux_corr) -> np.ndarray:
     """
     g_sd = _as_complex(g_sd)
     g_rd = _as_complex(g_rd)
-    if p_src <= 0 or p_rel <= 0 or n_dest <= 0:
-        raise ValueError("powers and noise must be > 0")
+    _check_positive(p_src=p_src, p_rel=p_rel, n_dest=n_dest)
     aux = _check_disc("aux_corr", _as_complex(aux_corr))
     aux_mag = np.abs(aux)
     # the numerator |g_sd|^2 |aux| p_src + |g_rd|^2 p_rel + cross term is a
@@ -221,8 +225,7 @@ def mutual_information_terms(g_sd, g_sr, g_rd, p_src, p_rel, n_dest, n_relay,
     g_sd = _as_complex(g_sd)
     g_sr = _as_complex(g_sr)
     g_rd = _as_complex(g_rd)
-    if p_src <= 0 or p_rel <= 0 or n_dest <= 0 or n_relay <= 0:
-        raise ValueError("powers and noise must be > 0")
+    _check_positive(p_src=p_src, p_rel=p_rel, n_dest=n_dest, n_relay=n_relay)
     aux_mag = split.aux_mag
     relay_inno = 1.0 - split.relay_mag
     aux_inno = 1.0 - aux_mag
@@ -247,8 +250,7 @@ def joint_covariance_determinants(g_sd, g_sr, p_src, n_dest, n_relay,
     covariance.  Their log-ratio equals cap(broadcast_cut_snr)."""
     g_sd = _as_complex(g_sd)
     g_sr = _as_complex(g_sr)
-    if p_src <= 0 or n_dest <= 0 or n_relay <= 0:
-        raise ValueError("powers and noise must be > 0")
+    _check_positive(p_src=p_src, n_dest=n_dest, n_relay=n_relay)
     rho = _as_complex(noise_corr)
     rho_mag = np.abs(rho)
     if np.any(rho_mag > 1.0 + _UNIT_DISC_TOL):
@@ -273,8 +275,7 @@ def degraded_noise_correlation(g_sd, g_sr, n_dest, n_relay):
     """
     g_sd = _as_complex(g_sd)
     g_sr = _as_complex(g_sr)
-    if n_dest <= 0 or n_relay <= 0:
-        raise ValueError("noise powers must be > 0")
+    _check_positive(n_dest=n_dest, n_relay=n_relay)
     if np.any(g_sr == 0):
         raise ValueError("g_sr has a zero tone; degraded correlation undefined")
     rho = np.conj(g_sd / g_sr) * math.sqrt(n_relay / n_dest)
@@ -288,8 +289,7 @@ def reversely_degraded_noise_correlation(g_sd, g_sr, n_dest, n_relay):
     rejected."""
     g_sd = _as_complex(g_sd)
     g_sr = _as_complex(g_sr)
-    if n_dest <= 0 or n_relay <= 0:
-        raise ValueError("noise powers must be > 0")
+    _check_positive(n_dest=n_dest, n_relay=n_relay)
     if np.any(g_sd == 0):
         raise ValueError("g_sd has a zero tone; reversely degraded correlation undefined")
     rho = (g_sr / g_sd) * math.sqrt(n_dest / n_relay)
@@ -304,10 +304,7 @@ class PowerBudget:
     p_rel: float
 
     def __post_init__(self) -> None:
-        for name in ("p_src", "p_rel"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"PowerBudget.{name} must be > 0, got {value!r}")
+        _check_positive(p_src=self.p_src, p_rel=self.p_rel)
 
 
 @dataclass
@@ -334,10 +331,7 @@ class RelayChannelInstance:
         for name in ("g_sd", "g_sr", "g_rd", "noise_corr"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
-        if not (math.isfinite(self.n_dest) and self.n_dest > 0):
-            raise ValueError(f"n_dest must be > 0, got {self.n_dest!r}")
-        if not (math.isfinite(self.n_relay) and self.n_relay > 0):
-            raise ValueError(f"n_relay must be > 0, got {self.n_relay!r}")
+        _check_positive(n_dest=self.n_dest, n_relay=self.n_relay)
         if np.any(np.abs(self.noise_corr) > 1.0 + _UNIT_DISC_TOL):
             raise ValueError("|noise_corr| must be <= 1 on every tone")
 
@@ -487,6 +481,5 @@ def reversely_degraded_capacity(instance: RelayChannelInstance, p_src: float) ->
 
 def direct_rate(g_sd, p_src: float, n_dest: float) -> float:
     """Tone-averaged rate of the direct link alone."""
-    if p_src <= 0 or n_dest <= 0:
-        raise ValueError("power and noise must be > 0")
+    _check_positive(p_src=p_src, n_dest=n_dest)
     return float(np.mean(np.log1p(np.abs(_as_complex(g_sd)) ** 2 * p_src / n_dest) / LN2))

@@ -8,6 +8,7 @@ tick selection and formatting are all deterministic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 WIDTH = 840
@@ -56,6 +57,11 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         pad = 1.0 if lo == 0 else abs(lo) * 0.5
         lo, hi = lo - pad, hi + pad
     raw = (hi - lo) / max(target - 1, 1)
+    if raw < sys.float_info.min:
+        # a step below the smallest normal float rounds to a subnormal or
+        # 0; every value of so narrow a range is within 1e-290 of 0, so
+        # the axis is that of a flat series at 0
+        return _ticks(0.0, 0.0, target)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10 * mag
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -423,6 +423,18 @@ def test_artifacts_match_pinned_hashes(tmp_path, capsys):
     assert written == PINNED_SHA256
 
 
+# SHA-256 of the default `oracle-check --verbose` stdout, recorded like
+# PINNED_SHA256 with numpy 2.4.6: every optimizer and oracle value and the
+# verdict line, as printed
+ORACLE_CHECK_SHA256 = "615c18f2c4bd9584e9290ae841e6cd4848f7da6b1c798f22d87af63e4d3b4edf"
+
+
+def test_default_oracle_check_stdout_is_pinned(tmp_path, capsys):
+    assert _run(["oracle-check", "--verbose", "--output-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_CHECK_SHA256
+
+
 TRUNCATING_CFG = """\
 experiment.block_size = 8
 experiment.trials = 1

@@ -37,7 +37,7 @@ K1_CUTSET_ORACLE = 2.907467174187037
 K1_CUTSET_RATE = 2.9078709167796437
 
 K2_SEED = 314
-K2_PDF_ORACLE = 1.0270013724685807
+K2_PDF_ORACLE = 1.0270013733815198
 K2_PDF_RATE = 1.0270013733815198
 K2_CUTSET_RATE = 1.1341674705271545
 
@@ -180,9 +180,10 @@ def test_brute_force_oracle_guards():
         assert brute_force_oracle(one, powers, "pdf", resolution) > 0.0
 
 
-def _dense_oracle(instance, powers, resolution):
-    """Reference pdf oracle: both terms at every point of the (a, b) grid,
-    and for two tones the feasibility bisection over the whole clouds."""
+def _dense_oracle(instance, powers, resolution, objective="pdf"):
+    """Reference oracle: both terms at every point of each tone's grid, over
+    (a, b) for pdf and over t for the cut-set, and for two tones the
+    minimum term of every pair of points, enumerated in row chunks."""
     steps = round(1.0 / resolution)
     axis = np.linspace(0.0, 1.0, steps + 1)
     a, b = axis[:, None], axis[None, :]
@@ -190,6 +191,10 @@ def _dense_oracle(instance, powers, resolution):
 
     def terms(k):
         base, cross, sr, sd = (float(x[k]) for x in tones)
+        if objective == "cutset":
+            bc = float(optimizer._broadcast_gain(instance, powers)[k])
+            return (np.log1p(base + cross * np.sqrt(axis)) / rates.LN2,
+                    np.log1p(bc * (1.0 - axis)) / rates.LN2)
         first = np.log1p(base + cross * np.sqrt(a * b)) / rates.LN2
         second = (np.log1p(sr * (1.0 - a) * b / (sr * (1.0 - b) + 1.0))
                   + np.log1p(sd * (1.0 - b))) / rates.LN2
@@ -199,34 +204,29 @@ def _dense_oracle(instance, powers, resolution):
     if instance.block_size == 1:
         return float(np.max(np.minimum(u1, u2)))
     v1, v2 = terms(1)
-    order = np.argsort(v1, kind="stable")
-    v1_sorted = v1[order]
-    suffix_best = np.append(np.maximum.accumulate(v2[order][::-1])[::-1], -np.inf)
+    return max(float(np.max(np.minimum(0.5 * (u1[i:i + 256, None] + v1),
+                                       0.5 * (u2[i:i + 256, None] + v2))))
+               for i in range(0, u1.size, 256))
 
-    def feasible(rate):
-        pos = np.searchsorted(v1_sorted, 2.0 * rate - u1, side="left")
-        return bool(np.any(suffix_best[pos] >= 2.0 * rate - u2))
 
-    lo = 0.0
-    hi = min(0.5 * (u1.max() + v1.max()), 0.5 * (u2.max() + v2.max())) + 1e-9
-    iters = 0
-    while hi - lo > 1e-9 and iters < 80:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-    return lo
+# (g_sd, g_sr, g_rd) of one tone: zero gains, no relay link (sr = 0), no
+# direct link (sd = 0, C = 0), no relay-destination link (C = 0) and
+# extreme gain ratios
+DEGENERATE_TONES = [(0.0, 0.0, 0.0), (1.0, 0.0, 1.0), (0.0, 1.0, 1.0),
+                    (1.0, 1.0, 0.0), (0.0, 0.0, 1.0), (2.0, 1e-8, 3.0),
+                    (1e-4, 5e3, 1.0), (5e3, 1.0, 1e-4)]
+DEGENERATE_POWERS = PowerBudget(p_src=2.0, p_rel=1.0)
 
 
 def _degenerate_one_tone_instances():
-    """Zero gains, no relay link (sr = 0), no direct link (sd = 0, C = 0),
-    no relay-destination link (C = 0) and extreme gain ratios."""
-    gains = [(0.0, 0.0, 0.0), (1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 0.0),
-             (0.0, 0.0, 1.0), (2.0, 1e-8, 3.0), (1e-4, 5e3, 1.0), (5e3, 1.0, 1e-4)]
-    return [(make_instance(*g, noise_corr=[0.3]), PowerBudget(p_src=2.0, p_rel=1.0))
-            for g in gains]
+    return [(make_instance(*g, noise_corr=[0.3]), DEGENERATE_POWERS)
+            for g in DEGENERATE_TONES]
+
+
+def _degenerate_two_tone_instances():
+    """Every ordered pair of the degenerate tones."""
+    return [(make_instance(*zip(g, h), noise_corr=[0.3, 0.3]), DEGENERATE_POWERS)
+            for g in DEGENERATE_TONES for h in DEGENERATE_TONES]
 
 
 @pytest.mark.parametrize("resolution", [1e-3, 1e-2, 0.05, 0.5])
@@ -239,12 +239,17 @@ def test_one_tone_oracle_equals_the_dense_grid(resolution):
 
 
 def test_two_tone_oracle_equals_the_dense_grid():
+    # the column-crossing pair search against literally enumerating every
+    # pair of grid points, up to 1681^2 = 2.8 M pairs a pdf instance
     rng = np.random.default_rng(44)
     cases = [random_instance(2, rng) for _ in range(3)] + [k2_instance()]
     zeros = make_instance([1.0, 0.0], [0.0, 2.0], [1.5, 0.0])
-    for instance, powers in cases + [(zeros, K1_POWERS)]:
-        assert (brute_force_oracle(instance, powers, "pdf", 1e-2)
-                == _dense_oracle(instance, powers, 1e-2))
+    cases += [(zeros, K1_POWERS)] + _degenerate_two_tone_instances()
+    for resolution in (0.05, 1 / 30, 0.025):
+        for instance, powers in cases:
+            for objective in ("pdf", "cutset"):
+                assert (brute_force_oracle(instance, powers, objective, resolution)
+                        == _dense_oracle(instance, powers, resolution, objective))
 
 
 @pytest.mark.parametrize("stride", [1, 3, 8])
@@ -280,34 +285,52 @@ def test_one_tone_oracle_allocates_no_grid():
 
 
 def test_two_tone_oracle_equals_pair_enumeration():
-    # the suffix-maximum feasibility bisection must agree with literally
-    # enumerating every pair of per-tone grid points
+    # the oracle's closed forms against the rates module's cuts, at every
+    # pair of per-tone grid points: (a, b) for pdf, (sqrt(t), sqrt(t)) for
+    # the cut-set
     instance, powers = k2_instance()
     resolution = 0.05
     axis = np.linspace(0.0, 1.0, round(1.0 / resolution) + 1)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     rotor = np.exp(1j * align_phases(instance))
 
-    def tone_tables(tone):
-        g_sd = np.full(grid.shape[0], instance.g_sd[tone])
-        g_sr = np.full(grid.shape[0], instance.g_sr[tone])
-        g_rd = np.full(grid.shape[0], instance.g_rd[tone])
-        rc = grid[:, 0] * rotor[tone]
-        ac = grid[:, 1] * rotor[tone]
+    def tone_tables(tone, objective):
+        relay, aux = ((grid[:, 0], grid[:, 1]) if objective == "pdf"
+                      else (np.sqrt(axis), np.sqrt(axis)))
+        g_sd, g_sr, g_rd, rho = (np.full(relay.size, getattr(instance, name)[tone])
+                                 for name in ("g_sd", "g_sr", "g_rd", "noise_corr"))
+        rc, ac = relay * rotor[tone], aux * rotor[tone]
         mac = rates.cap(rates.mac_cut_snr(g_sd, g_rd, powers.p_src,
                                           powers.p_rel, instance.n_dest, rc, ac))
-        dec = rates.cap(rates.decode_cut_snr(g_sd, g_sr, powers.p_src,
+        if objective == "pdf":
+            second = rates.decode_cut_snr(g_sd, g_sr, powers.p_src, instance.n_dest,
+                                          instance.n_relay, rc, ac)
+        else:
+            second = rates.broadcast_cut_snr(g_sd, g_sr, powers.p_src,
                                              instance.n_dest, instance.n_relay,
-                                             rc, ac))
-        return mac, dec
+                                             rc, ac, rho)
+        return mac, rates.cap(second)
 
-    u1, u2 = tone_tables(0)
-    v1, v2 = tone_tables(1)
-    pair_first = 0.5 * (u1[:, None] + v1[None, :])
-    pair_second = 0.5 * (u2[:, None] + v2[None, :])
-    enumerated = float(np.max(np.minimum(pair_first, pair_second)))
-    oracle = brute_force_oracle(instance, powers, "pdf", resolution)
-    assert oracle == pytest.approx(enumerated, abs=1e-8)
+    for objective in ("pdf", "cutset"):
+        u1, u2 = tone_tables(0, objective)
+        v1, v2 = tone_tables(1, objective)
+        pair_first = 0.5 * (u1[:, None] + v1[None, :])
+        pair_second = 0.5 * (u2[:, None] + v2[None, :])
+        enumerated = float(np.max(np.minimum(pair_first, pair_second)))
+        oracle = brute_force_oracle(instance, powers, objective, resolution)
+        assert oracle == pytest.approx(enumerated, abs=1e-12)
+
+
+def test_two_tone_cutset_oracle_allocates_no_pair_grid():
+    # the dense 1001 x 1001 pair grids took 8 MB each
+    instance, powers = random_instance(2, np.random.default_rng(47))
+    tracemalloc.start()
+    try:
+        brute_force_oracle(instance, powers, "cutset", 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("objective", ["pdf", "cutset"])

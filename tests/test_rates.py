@@ -1,5 +1,6 @@
 """Rate algebra: frozen hand values, exact identities, domain guards."""
 
+import inspect
 import math
 
 import numpy as np
@@ -41,6 +42,9 @@ def test_cap_values():
     assert np.array_equal(out, np.array([0.0, 2.0]))
     with pytest.raises(ValueError):
         cap(-0.1)
+    for snr in (math.nan, np.array([0.0, math.nan])):
+        with pytest.raises(ValueError):
+            cap(snr)
 
 
 def test_decode_cut_snr_hand_value():
@@ -260,6 +264,42 @@ def test_mac_excess_snr_never_negative(sd_re, sd_im, rd_re, rd_im, p_src,
     zeta = mac_excess_snr(complex(sd_re, sd_im), complex(rd_re, rd_im),
                           p_src, p_rel, n_dest, aux)
     assert zeta[0] >= 0.0
+
+
+# every public helper that takes powers or noise powers, called with
+# valid defaults; each keyword is one of them
+POSITIVE_ARG_HELPERS = {
+    "mac_cut_snr": lambda p_src=1.0, p_rel=1.0, n_dest=1.0: mac_cut_snr(
+        1.0, 1.0, p_src, p_rel, n_dest, 0.5, 0.5),
+    "decode_cut_snr": lambda p_src=1.0, n_dest=1.0, n_relay=1.0: decode_cut_snr(
+        1.0, 1.0, p_src, n_dest, n_relay, 0.5, 0.5),
+    "broadcast_cut_snr": lambda p_src=1.0, n_dest=1.0, n_relay=1.0: broadcast_cut_snr(
+        1.0, 1.0, p_src, n_dest, n_relay, 0.5, 0.5, 0.3),
+    "mac_excess_snr": lambda p_src=1.0, p_rel=1.0, n_dest=1.0: mac_excess_snr(
+        1.0, 1.0, p_src, p_rel, n_dest, 0.5),
+    "mutual_information_terms":
+        lambda p_src=1.0, p_rel=1.0, n_dest=1.0, n_relay=1.0: mutual_information_terms(
+            1.0, 1.0, 1.0, p_src, p_rel, n_dest, n_relay,
+            SplitParams([0.5], [0.5], [0.0])),
+    "joint_covariance_determinants":
+        lambda p_src=1.0, n_dest=1.0, n_relay=1.0: joint_covariance_determinants(
+            1.0, 1.0, p_src, n_dest, n_relay, 0.5, 0.5, 0.3),
+    "degraded_noise_correlation": lambda n_dest=1.0, n_relay=1.0:
+        degraded_noise_correlation(1.0, 1.0, n_dest, n_relay),
+    "reversely_degraded_noise_correlation": lambda n_dest=1.0, n_relay=1.0:
+        reversely_degraded_noise_correlation(1.0, 1.0, n_dest, n_relay),
+    "direct_rate": lambda p_src=1.0, n_dest=1.0: direct_rate(1.0, p_src, n_dest),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(POSITIVE_ARG_HELPERS))
+def test_helpers_reject_powers_that_are_not_finite_and_positive(name, bad):
+    helper = POSITIVE_ARG_HELPERS[name]
+    helper()
+    for param in inspect.signature(helper).parameters:
+        with pytest.raises(ValueError, match=f"{param} must be finite and > 0"):
+            helper(**{param: bad})
 
 
 def test_power_budget_defaults_and_validation():

@@ -21,10 +21,16 @@ def test_line_chart_deterministic_and_escaped():
 
 
 def test_line_chart_flat_series_renders():
-    # _ticks pads a flat range, so every axis spans a nonzero width
+    # _ticks pads a flat range, so every axis spans a nonzero width; a range
+    # too narrow for a normal tick step gets the axis of a flat one at 0
     for series in (Series("flat", [1.0, 2.0], [5.0, 5.0]),
                    Series("point", [1.5], [0.25]),
-                   Series("zero", [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])):
+                   Series("zero", [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+                   Series("subnormal", [1.0, 2.0], [5e-324, 5e-324]),
+                   Series("two ulps", [1.0, 2.0], [1e-323, 1e-323]),
+                   Series("four ulps", [1.0, 2.0], [2e-323, 2e-323]),
+                   Series("one ulp wide", [1.0, 2.0], [0.0, 5e-324]),
+                   Series("tiny x", [5e-324, 5e-324], [1.0, 2.0])):
         svg = line_chart([series], "x", "y")
         assert "<polyline" in svg
         coords = re.findall(r' (?:c?[xy][12]?)="([^"]*)"', svg)
