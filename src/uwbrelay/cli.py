@@ -207,8 +207,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     config = _load(args)
     orc = config.oracle
     seed = args.seed if args.seed is not None else orc.seed
-    rows = oracle_suite(orc.k1_instances, orc.k2_instances, orc.resolution,
-                        seed, config.experiment.optimizer)
+    rows = oracle_suite(orc.k1_instances, orc.k2_instances, orc.resolution, seed)
     if not rows:
         print("oracle-check: no instances configured", file=sys.stderr)
         return 2

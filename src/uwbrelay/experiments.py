@@ -277,17 +277,16 @@ def _solve_trial(config: ExperimentConfig, geometry: Geometry,
     instance = build_instance(config, geometry, rho_values[0], trial_index,
                               fading=fading)
     powers, n_dest, _ = powers_from_config(config)
-    settings = config.optimizer
     tones = optimizer._tones(instance, powers)
-    pdf_res = optimize_pdf(instance, powers, settings, tones=tones)
+    pdf_res = optimize_pdf(instance, powers, tones=tones)
     if np.all(tones.sr >= tones.sd):
         df_res = optimizer._degraded_from_pdf(pdf_res)
     else:
-        df_res = optimize_degraded(instance, powers, settings, tones=tones)
+        df_res = optimize_degraded(instance, powers, tones=tones)
     per_rho = [instance] + [rates._unchecked(RelayChannelInstance, **{
         **vars(instance), "noise_corr": np.full(config.block_size, complex(rho))})
         for rho in rho_values[1:]]
-    cuts = [optimize_cutset(inst, powers, settings, tones=tones) for inst in per_rho]
+    cuts = [optimize_cutset(inst, powers, tones=tones) for inst in per_rho]
     direct_value = rates.direct_rate(instance.g_sd, 2.0 * powers.p_src, n_dest)
     return instance, powers, pdf_res, df_res, cuts, direct_value
 

@@ -31,9 +31,11 @@ is the nonnegative root of a quadratic, clipped to [0, 1].  A root
 search on lam (_bracket_root: safeguarded inverse-quadratic and secant
 steps) brackets the weight where the terms cross; a second one
 equalizes the terms on the segment between the two bracketing
-solutions, and the best point evaluated wins.  Concavity closes the
-duality gap (minimax theorem), so every weighted value is an upper bound
-on the optimum and OptimizationResult.dual_gap certifies the answer.
+solutions, and the best point evaluated wins.  Both stop at a bracket
+width of 1e-9 or after 60 probes, a fixed rule that no setting changes.
+Concavity closes the duality gap (minimax theorem), so every weighted
+value is an upper bound on the optimum and OptimizationResult.dual_gap
+certifies the answer.
 brute_force_oracle is an independent check: the exact max-min over the
 original (a, b) grid, with the plain real closed forms of both terms and
 none of the reduction above.  It rests only on the monotonicity of those
@@ -60,23 +62,18 @@ from .rates import PowerBudget, RelayChannelInstance, SplitParams, LN2
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Controls of the root searches.  Both the weight search and the
-    equalizing segment search stop at a bracket width of lambda_tolerance
-    or after max_lambda_iters probes.  tone_grid_points and refine_steps
-    are validated but unused: the solve is exact and searches no grid."""
+    """The optimizer section of a configuration.  No solve reads either
+    field: the solve is exact, searches no grid, and its stopping rule is
+    fixed (_BRACKET_TOLERANCE, _MAX_PROBES).  Both stay, validated, only
+    because the benchmark still names them: its workload configs set
+    tone_grid_points and its tracer imports this class."""
 
     tone_grid_points: int = 101
-    lambda_tolerance: float = 1e-9
-    max_lambda_iters: int = 60
     refine_steps: int = 3
 
     def __post_init__(self) -> None:
         if self.tone_grid_points < 2:
             raise ValueError("tone_grid_points must be >= 2")
-        if not (0 < self.lambda_tolerance < 1):
-            raise ValueError("lambda_tolerance must be in (0, 1)")
-        if self.max_lambda_iters < 1:
-            raise ValueError("max_lambda_iters must be >= 1")
         if self.refine_steps < 0:
             raise ValueError("refine_steps must be >= 0")
 
@@ -174,6 +171,9 @@ def _broadcast_gain(instance: RelayChannelInstance, powers: PowerBudget):
 
 # spacing of float64 numbers just above 1, the coarsest rounding of an s
 _ULP_OF_ONE = float(np.finfo(float).eps)
+# the stopping rule of both root searches of _max_min
+_BRACKET_TOLERANCE = 1e-9
+_MAX_PROBES = 60
 
 
 def _bracket_root(gap, lo, hi, gap_lo, gap_hi, tolerance, max_probes):
@@ -253,12 +253,13 @@ def _weighted_maximizer(lam, base_1, cross, gain, gain_1):
     return np.minimum(s, 1.0)
 
 
-def _max_min(tones: _Tones, gain: np.ndarray, settings: OptimizerSettings):
+def _max_min(tones: _Tones, gain: np.ndarray):
     """Exact max over s in [0, 1]^K of min(F1, F2) (see module docstring)
     for the multiple-access scalars of `tones` and the per-tone gain M.
-    Returns (s, (F1, F2), lambda_trace, converged) for the best point
-    evaluated; converged is False when the weight search hit its probe
-    cap."""
+    Both root searches stop at a bracket width of _BRACKET_TOLERANCE or
+    after _MAX_PROBES probes.  Returns (s, (F1, F2), lambda_trace,
+    converged) for the best point evaluated; converged is False when the
+    weight search hit its probe cap."""
     base, cross = tones.base, tones.cross
     base_1, gain_1 = 1.0 + base, 1.0 + gain  # shared by every weighted solve
     trace = []
@@ -290,8 +291,7 @@ def _max_min(tones: _Tones, gain: np.ndarray, settings: OptimizerSettings):
     # maximizer leaves F2 slack, and is optimal on its own
     if low_gap < 0.0 < high_gap:
         _, _, converged = _bracket_root(weighted, 0.0, 1.0, low_gap, high_gap,
-                                        settings.lambda_tolerance,
-                                        settings.max_lambda_iters)
+                                        _BRACKET_TOLERANCE, _MAX_PROBES)
         # the weighted search leaves its bracket's solutions in ends; s rises
         # with lam on every tone, so F1 - F2 rises along the segment between
         # them: equalize the terms on it, down to the width where a step in
@@ -305,8 +305,8 @@ def _max_min(tones: _Tones, gain: np.ndarray, settings: OptimizerSettings):
                 return first - second
 
             _bracket_root(along, 0.0, 1.0, low_gap, high_gap,
-                          max(settings.lambda_tolerance, _ULP_OF_ONE / largest),
-                          settings.max_lambda_iters)
+                          max(_BRACKET_TOLERANCE, _ULP_OF_ONE / largest),
+                          _MAX_PROBES)
     return best[0], best[1], trace, converged
 
 
@@ -323,8 +323,7 @@ def _result(rate, instance, powers, objective, solved, relay_mag,
         converged=converged, objective=objective, lambda_trace=trace)
 
 
-def optimize_pdf(instance: RelayChannelInstance, powers: PowerBudget,
-                 settings: OptimizerSettings | None = None, *,
+def optimize_pdf(instance: RelayChannelInstance, powers: PowerBudget, *,
                  tones: _Tones | None = None) -> OptimizationResult:
     """Maximize the partial decode-and-forward rate over per-tone split
     magnitudes with aligned phases.  Per tone the split is
@@ -332,10 +331,9 @@ def optimize_pdf(instance: RelayChannelInstance, powers: PowerBudget,
     one, and (1, t), or (0, 0) at t = 0, where it is weaker (see the
     module docstring).  tones, when given, is _tones(instance, powers) of
     these arguments."""
-    settings = settings or OptimizerSettings()
     if tones is None:
         tones = _tones(instance, powers)
-    solved = _max_min(tones, np.maximum(tones.sr, tones.sd), settings)
+    solved = _max_min(tones, np.maximum(tones.sr, tones.sd))
     t = solved[0] ** 2
     relay_first = tones.sr >= tones.sd
     return _result(rates.pdf_rate, instance, powers, "pdf", solved,
@@ -343,33 +341,29 @@ def optimize_pdf(instance: RelayChannelInstance, powers: PowerBudget,
                    np.where(relay_first, 1.0, t))
 
 
-def optimize_cutset(instance: RelayChannelInstance, powers: PowerBudget,
-                    settings: OptimizerSettings | None = None, *,
+def optimize_cutset(instance: RelayChannelInstance, powers: PowerBudget, *,
                     tones: _Tones | None = None) -> OptimizationResult:
     """Maximize the cut-set upper bound over the per-tone correlation
     product t, reported as a split with equal magnitudes s = sqrt(t).
     tones, when given, is _tones(instance, powers) of these arguments; it
     does not read the noise correlation."""
-    settings = settings or OptimizerSettings()
     if tones is None:
         tones = _tones(instance, powers)
-    solved = _max_min(tones, _broadcast_gain(instance, powers), settings)
+    solved = _max_min(tones, _broadcast_gain(instance, powers))
     return _result(rates.cutset_rate, instance, powers, "cutset", solved,
                    solved[0], solved[0].copy())  # a split's fields never alias
 
 
-def optimize_degraded(instance: RelayChannelInstance, powers: PowerBudget,
-                      settings: OptimizerSettings | None = None, *,
+def optimize_degraded(instance: RelayChannelInstance, powers: PowerBudget, *,
                       tones: _Tones | None = None) -> OptimizationResult:
     """Maximize the full-decode (decode-and-forward) rate: the auxiliary
     coefficient magnitude is fixed at 1 and only the cooperative
     coefficient is solved for.  On a degraded channel this attains
     capacity.  tones, when given, is _tones(instance, powers) of these
     arguments."""
-    settings = settings or OptimizerSettings()
     if tones is None:
         tones = _tones(instance, powers)
-    solved = _max_min(tones, tones.sr, settings)
+    solved = _max_min(tones, tones.sr)
     return _result(rates.pdf_rate, instance, powers, "degraded", solved,
                    solved[0] ** 2, np.ones(instance.block_size))
 
@@ -554,12 +548,10 @@ class OracleComparison:
 
 
 def oracle_suite(k1_instances: int, k2_instances: int, resolution: float,
-                 seed: int,
-                 settings: OptimizerSettings | None = None) -> list[OracleComparison]:
+                 seed: int) -> list[OracleComparison]:
     """Compare both optimizers against brute_force_oracle on seeded random
     instances: k1_instances single-tone and k2_instances two-tone draws,
     each checked for both objectives."""
-    settings = settings or OptimizerSettings()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     rows = []
     for block_size, count in ((1, k1_instances), (2, k2_instances)):
@@ -567,9 +559,9 @@ def oracle_suite(k1_instances: int, k2_instances: int, resolution: float,
             instance, powers = random_instance(block_size, rng)
             for objective in ("pdf", "cutset"):
                 if objective == "pdf":
-                    approx = optimize_pdf(instance, powers, settings).rate
+                    approx = optimize_pdf(instance, powers).rate
                 else:
-                    approx = optimize_cutset(instance, powers, settings).rate
+                    approx = optimize_cutset(instance, powers).rate
                 exact = brute_force_oracle(instance, powers, objective, resolution)
                 rows.append(OracleComparison(block_size, index, objective,
                                              approx, exact))

@@ -314,7 +314,7 @@ def test_criterion_7_noise_correlation_raises_upper_bound_only(rho_sweep):
         per_rho = [
             optimize_pdf(build_instance(SWEEP_CONFIG, Geometry(3.0, 1.9), rho,
                                         trial),
-                         powers, SWEEP_CONFIG.optimizer).rate
+                         powers).rate
             for rho in SWEEP_CONFIG.rho_values]
         spread = max(spread, max(per_rho) - min(per_rho))
     ok = peak_gap > 0.0 and spread <= 1e-12

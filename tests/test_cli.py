@@ -1,8 +1,12 @@
 """Command line subcommands run in-process against small configurations."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from uwbrelay.configfile import ANNOTATED_DEFAULTS
 from uwbrelay.experiments import ExperimentConfig, Geometry, draw_links, run_trial
 from uwbrelay.optimizer import OptimizerSettings
 from uwbrelay.svgplot import parse_sweep_csv, sweep_chart
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SMALL_CFG = """\
 experiment.block_size = 32
@@ -375,6 +381,23 @@ def test_version_flag(capsys):
         _run(["--version"])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.startswith("uwbrelay ")
+
+
+@pytest.mark.parametrize("args, code, stream, start", [
+    (["--version"], 0, "stdout", "uwbrelay "),
+    (["bounds", "--config", "missing.cfg"], 2, "stderr",
+     "uwbrelay: configuration error: "),
+])
+def test_module_entry_point_exits_with_the_status_of_main(tmp_path, args, code,
+                                                          stream, start):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "uwbrelay.cli", *args],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == code
+    assert getattr(done, stream).startswith(start)
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):

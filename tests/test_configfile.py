@@ -1,5 +1,6 @@
 """Configuration parsing, canonical serialization and signatures."""
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,9 +67,11 @@ def test_registry_rejects_fields_that_are_not_keys(monkeypatch, cls, name):
         configfile._registry()
 
 
-def test_unknown_key_names_key_and_line():
-    text = "experiment.trials = 5\nexperiment.bogus = 1\n"
-    with pytest.raises(ConfigError, match=r"<config>:2.*experiment\.bogus"):
+@pytest.mark.parametrize("key", ["experiment.bogus", "optimizer.lambda_tolerance",
+                                 "optimizer.max_lambda_iters"])
+def test_unknown_key_names_key_and_line(key):
+    text = f"experiment.trials = 5\n{key} = 1\n"
+    with pytest.raises(ConfigError, match=rf"<config>:2.*{re.escape(key)}"):
         parse_config_text(text)
 
 
@@ -148,7 +151,7 @@ def test_default_signature_is_pinned():
     # Manifests identify a run by this hash: any change to key names,
     # order or value formatting in canonical_text breaks it.
     assert config_signature(default_config()) == (
-        "a669005c491269cc4bf0fa7a223378164207de3057e5d5ef4a6c0ab2ba5900ca")
+        "01c0f0a85b10276c1baf049a4a2a10e766231d1119b86c43b9aa6eecd3ccd522")
 
 
 def test_signature_tracks_content():

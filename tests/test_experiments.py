@@ -120,7 +120,7 @@ def test_trial_searches_the_full_decode_problem_once(monkeypatch):
         tones = optimizer._tones(instance, powers)
         assert np.count_nonzero(tones.sd > tones.sr) == weaker_tones
         assert len(calls) == solves
-        fresh = degraded(instance, powers, config.optimizer)
+        fresh = degraded(instance, powers)
         assert ((df_res.rate, df_res.terms, df_res.lambda_trace, df_res.converged,
                  df_res.objective)
                 == (fresh.rate, fresh.terms, fresh.lambda_trace, fresh.converged,

@@ -357,10 +357,6 @@ def test_optimizer_settings_validation():
     with pytest.raises(ValueError):
         OptimizerSettings(tone_grid_points=1)
     with pytest.raises(ValueError):
-        OptimizerSettings(lambda_tolerance=0.0)
-    with pytest.raises(ValueError):
-        OptimizerSettings(max_lambda_iters=0)
-    with pytest.raises(ValueError):
         OptimizerSettings(refine_steps=-1)
 
 
@@ -388,6 +384,10 @@ SYNTHETIC_GAPS = {
     "jump": (lambda x: -1.0 if x < 0.6180339887 else 1.0, 30),
     "plateau-at-0": (_plateau, 27),
     "exact-zero": (lambda x: x - 0.25, 1),
+    # end values of -inf and +inf make the first secant step nan, so that
+    # probe falls back to the midpoint
+    "infinite-ends": (lambda x: x - 0.3 if 0.0 < x < 1.0
+                      else math.copysign(math.inf, x - 0.3), 4),
 }
 
 
@@ -408,7 +408,7 @@ def test_bracket_root_on_synthetic_gaps(name):
     assert hi - lo <= 1e-9 or gap(lo) == 0.0
     assert {lo, hi} <= {0.0, 1.0, *probes}
     assert len(probes) <= ceiling
-    if name in ("plateau-at-0", "exact-zero"):
+    if name in ("plateau-at-0", "exact-zero", "infinite-ends"):
         assert gap(lo) == 0.0  # the search stopped at the zero it hit
 
 
@@ -426,14 +426,14 @@ def test_bracket_root_probe_cap():
     assert gap(lo) <= 0.0 < gap(hi) and hi - lo > 1e-9
 
 
-def test_probe_cap_reports_unconverged():
-    capped = OptimizerSettings(max_lambda_iters=3)
-    config = ExperimentConfig(block_size=16, trials=1, optimizer=capped)
+def test_probe_cap_reports_unconverged(monkeypatch):
+    config = ExperimentConfig(block_size=16, trials=1)
     geometry = Geometry(config.d1, 0.3)
     instance = build_instance(config, geometry, 0.0, 0)
     powers = powers_from_config(config)[0]
     assert len(optimize_pdf(instance, powers).lambda_trace) > 5  # it brackets
-    result = optimize_pdf(instance, powers, capped)
+    monkeypatch.setattr(optimizer, "_MAX_PROBES", 3)
+    result = optimize_pdf(instance, powers)
     assert not result.converged
     assert len(result.lambda_trace) <= 5  # both ends and three probes
     assert not run_trial(config, geometry, 0.0, 0).flags["pdf_converged"]

@@ -335,6 +335,24 @@ def test_instance_validation():
     assert make_instance([1.0, 2.0], [1.0, 1.0], [1.0, 2.0]).block_size == 2
 
 
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: decode_cut_snr(1.0, 1.0, 1.0, 1.0, 1.0, 1.5, 0.5),
+                 InvalidParameterError, "relay_corr magnitude exceeds 1",
+                 id="relay_corr-off-the-disc"),
+    pytest.param(lambda: joint_covariance_determinants(1.0, 1.0, 1.0, 1.0, 1.0,
+                                                       0.5, 0.5, 1.5),
+                 InvalidParameterError, r"\|noise_corr\| must be <= 1",
+                 id="noise_corr-off-the-disc"),
+    pytest.param(lambda: make_instance(1.0, math.nan, 1.0),
+                 ValueError, "g_sr must be finite", id="nan-gain"),
+    pytest.param(lambda: SplitParams([0.5, 0.5], [0.5], [0.0, 0.0]),
+                 ValueError, "must have equal length", id="split-lengths"),
+])
+def test_public_inputs_outside_their_domain_are_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def _edge_split(rng, n):
     """Random polar split whose magnitudes include exactly 0 and 1 and
     whose phases span [-3pi, 3pi], the branch cut at +-pi included."""

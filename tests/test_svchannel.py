@@ -125,6 +125,27 @@ def test_continuous_impulse_validation():
         ContinuousImpulse([0.0], [np.nan])
 
 
+class _VanishingPaths:
+    """A generator whose Rayleigh magnitudes are all 0; every other draw is
+    the wrapped generator's."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def rayleigh(self, scale):
+        return np.zeros_like(scale)
+
+
+def test_impulse_with_no_path_energy_is_rejected():
+    # without the guard the normalization divides 0 by 0: nan gains
+    with pytest.raises(DegenerateChannelError, match="all path gains vanished"):
+        sample_impulse_response(SVParameters(),
+                                _VanishingPaths(np.random.default_rng(0)))
+
+
 def test_sv_parameters_validation():
     with pytest.raises(ValueError):
         SVParameters(max_delay=0.0)

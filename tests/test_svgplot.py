@@ -50,6 +50,13 @@ def test_line_chart_error_bars():
         line_chart([], "x", "y")
 
 
+@pytest.mark.parametrize("x, y", [([0.0, 1.0], [1.0, math.inf]),
+                                  ([0.0, -math.inf], [1.0, 2.0])])
+def test_line_chart_rejects_infinite_values(x, y):
+    with pytest.raises(ValueError, match="non-finite axis range"):
+        line_chart([Series("s", x, y)], "x", "y")
+
+
 def test_series_validation():
     with pytest.raises(ValueError):
         Series("s", [1.0], [1.0, 2.0])
