@@ -41,11 +41,15 @@ original (a, b) grid, with the plain real closed forms of both terms and
 none of the reduction above.  It rests only on the monotonicity of those
 closed forms.  Down a column of fixed b the multiple-access term rises
 with a and the decode term falls, so a column's best point sits at the
-row where they cross, and one bisection per column finds it.  Two tones
-pair into a grid with the same column order, searched by the same
-bisection; for pdf each tone contributes only its frontier of points
-that no other point of the tone beats in both terms.  Every search
-returns exactly the value of evaluating every grid point or pair.
+row where they cross, and one bisection per column finds it.  For one tone
+that crossing is also the root of a quadratic in sqrt(a) (_crossing_guess),
+so each column first probes the two rows around the guessed root and
+bisects only where they do not close its bracket; the guess changes which
+rows are evaluated, never the value.  Two tones pair into a grid with
+the same column order, searched by the same bisection; for pdf each tone
+contributes only its frontier of points that no other point of the tone
+beats in both terms.  Every search returns exactly the value of
+evaluating every grid point or pair.
 """
 
 from __future__ import annotations
@@ -395,24 +399,44 @@ def _grid_steps(resolution: float, name: str = "resolution") -> int:
     return steps
 
 
-def _column_crossings(terms, rows: int, cols: int) -> float:
+def _column_crossings(terms, rows: int, cols: int, guess=None) -> float:
     """max of min(first, second) over a rows x cols grid whose
     terms(row_indices, col_indices) are nondecreasing (first) and
     nonincreasing (second) down every column.  A column's maximum is then
     first at the row before the crossing (the first row where
-    first >= second) or second at the crossing; the crossing is bisected
-    in all columns at once."""
-    col = np.arange(cols)
-    lo, hi = np.zeros(cols, dtype=np.intp), np.full(cols, rows)  # crossing row in [lo, hi]
-    for _ in range(rows.bit_length()):
-        mid = (lo + hi) // 2
-        first, second = terms(np.minimum(mid, rows - 1), col)
-        open_ = lo < hi
+    first >= second) or second at the crossing.
+
+    guess, when given, holds each column's guessed crossing row; rows
+    guess - 1 and guess (clipped to the grid) are probed first, in one
+    terms call.  Every probe narrows its column's bracket whatever it
+    shows, so any guess gives the same value; one that holds closes the
+    bracket.  The open brackets are then bisected, only as many rounds as
+    the widest needs.  The values that decide a column are kept from the
+    probes that set its bracket ends: first at the row above the bracket,
+    second at its bottom row."""
+    # the crossing row is in [lo, hi]; hi == rows means no row crosses
+    lo, hi = np.zeros(cols, dtype=np.intp), np.full(cols, rows)
+    below, at = np.full(cols, -np.inf), np.full(cols, -np.inf)
+
+    def narrow(col, row, first, second):
+        """Narrow the brackets of the distinct columns col by probe rows
+        row and their terms."""
         above = first >= second
-        hi = np.where(open_ & above, mid, hi)
-        lo = np.where(open_ & ~above, mid + 1, lo)
-    below = np.where(lo > 0, terms(np.maximum(lo - 1, 0), col)[0], -np.inf)
-    at = np.where(lo < rows, terms(np.minimum(lo, rows - 1), col)[1], -np.inf)
+        up = above & (row < hi[col])
+        hi[col[up]], at[col[up]] = row[up], second[up]
+        down = ~above & (row >= lo[col])
+        lo[col[down]], below[col[down]] = row[down] + 1, first[down]
+
+    if guess is not None:
+        col = np.arange(cols)
+        probes = np.clip(np.concatenate((guess - 1, guess)), 0, rows - 1)
+        first, second = terms(probes, np.concatenate((col, col)))
+        narrow(col, probes[:cols], first[:cols], second[:cols])
+        narrow(col, probes[cols:], first[cols:], second[cols:])
+    for _ in range(int(np.max(hi - lo)).bit_length()):
+        col = np.flatnonzero(lo < hi)
+        mid = (lo[col] + hi[col]) // 2
+        narrow(col, mid, *terms(mid, col))
     return float(np.max(np.maximum(below, at)))
 
 
@@ -445,6 +469,29 @@ def _grid_frontier(first, second, stride: int = 8):
     return _frontier(first[keep], second[keep])
 
 
+def _crossing_guess(tones: _Tones, axis: np.ndarray) -> np.ndarray:
+    """Each pdf column's crossing row on the one-tone grid axis, from the
+    closed forms.  At b = axis the terms cross where
+    1 + B + C*sqrt(b)*u = D*(1 + k*(1 - u^2)) with u = sqrt(a),
+    D = 1 + sd*(1 - b) and k = sr*b/(sr*(1 - b) + 1): the positive root of
+    D*k*u^2 + C*sqrt(b)*u - c with c = D + D*k - 1 - B, in
+    cancellation-free form.  The first row at or past u^2 is the guess:
+    0 where c <= 0 (the first term already leads at a = 0) and axis.size,
+    no crossing, where u > 1 or is not finite.  Only a hint for
+    _column_crossings, so rounding may put it a row off."""
+    base, cross, sr, sd = (float(x[0]) for x in tones)
+    steps = axis.size - 1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lead = sd * (1.0 - axis)
+        dk = (1.0 + lead) * (sr * axis / (sr * (1.0 - axis) + 1.0))
+        c = lead + dk - base
+        linear = cross * np.sqrt(axis)
+        u = 2.0 * c / (linear + np.sqrt(linear * linear + 4.0 * dk * c))
+        row = np.ceil(u * u * steps)
+    row = np.where(u <= 1.0, row, axis.size)
+    return np.where(c > 0.0, row, 0).astype(np.intp)
+
+
 def brute_force_oracle(instance: RelayChannelInstance, powers: PowerBudget,
                        objective: str = "pdf", resolution: float = 1e-3) -> float:
     """Exact max-min over the full per-tone magnitude grid at the given
@@ -454,7 +501,10 @@ def brute_force_oracle(instance: RelayChannelInstance, powers: PowerBudget,
     The terms are the plain real closed forms: over (a, b) for pdf, over
     t = a*b for the cut-set.  Down a pdf column (fixed b) the first term
     rises with a and the second falls, so _column_crossings finds the
-    one-tone maximum from each column's crossing row.  Two tones pair into
+    one-tone maximum from each column's crossing row.  It first probes the
+    two rows around each column's crossing guessed from the closed forms
+    (_crossing_guess), which close nearly every column, and bisects only
+    the columns they leave open.  Two tones pair into
     a grid of the same kind: columns are the first tone's points, rows the
     second tone's, ordered so the first term rises and the second falls.
     For the cut-set those are the t axis; for pdf, each tone's points that
@@ -497,7 +547,8 @@ def brute_force_oracle(instance: RelayChannelInstance, powers: PowerBudget,
     if instance.block_size == 1:
         if objective == "cutset":
             return float(np.max(np.minimum(*cutset_terms(0))))
-        return _column_crossings(pdf_terms(0), steps + 1, steps + 1)
+        return _column_crossings(pdf_terms(0), steps + 1, steps + 1,
+                                 _crossing_guess(tones, axis))
     if objective == "cutset":
         (u1, u2), (v1, v2) = cutset_terms(0), cutset_terms(1)
     else:
@@ -551,17 +602,17 @@ def oracle_suite(k1_instances: int, k2_instances: int, resolution: float,
                  seed: int) -> list[OracleComparison]:
     """Compare both optimizers against brute_force_oracle on seeded random
     instances: k1_instances single-tone and k2_instances two-tone draws,
-    each checked for both objectives."""
+    each checked for both objectives.  Both optimizers of an instance share
+    one _tones; the oracle computes its own."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     rows = []
     for block_size, count in ((1, k1_instances), (2, k2_instances)):
         for index in range(count):
             instance, powers = random_instance(block_size, rng)
-            for objective in ("pdf", "cutset"):
-                if objective == "pdf":
-                    approx = optimize_pdf(instance, powers).rate
-                else:
-                    approx = optimize_cutset(instance, powers).rate
+            tones = _tones(instance, powers)
+            for objective, optimize in (("pdf", optimize_pdf),
+                                        ("cutset", optimize_cutset)):
+                approx = optimize(instance, powers, tones=tones).rate
                 exact = brute_force_oracle(instance, powers, objective, resolution)
                 rows.append(OracleComparison(block_size, index, objective,
                                              approx, exact))

@@ -226,13 +226,20 @@ def draw_shadowing_db(params: PathlossParameters, rng: np.random.Generator) -> f
 def scale_pathloss(taps: ChannelTaps, distance: float, params: PathlossParameters,
                    shadowing_db: float) -> ChannelTaps:
     """Scale taps by the amplitude of the log-distance loss at distance
-    plus shadowing_db of shadowing; returns a new ChannelTaps."""
+    plus shadowing_db of shadowing; returns a new ChannelTaps.  A loss whose
+    amplitude overflows or is not finite raises ValueError."""
     if not (math.isfinite(distance) and distance > 0):
         raise ValueError(f"distance must be > 0, got {distance!r}")
     loss_db = (params.ref_loss_db
                + 10.0 * params.exponent * math.log10(distance / params.ref_distance)
                + shadowing_db)
-    scale = 10.0 ** (-loss_db / 20.0)
+    try:
+        scale = 10.0 ** (-loss_db / 20.0)
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ValueError(f"pathloss of {loss_db} dB at {distance} m "
+                         "overflows the tap amplitude")
     return ChannelTaps(taps.taps * scale, taps.dropped_share)
 
 

@@ -96,6 +96,9 @@ def line_chart(series: list[Series], x_label: str, y_label: str,
                 raise ValueError("error-bar length mismatch")
             ys.extend(v + e for v, e in zip(s.y, errs))
             ys.extend(v - e for v, e in zip(s.y, errs))
+    # min and max skip a nan unless it comes first, so check every value
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("non-finite axis range")
     x_ticks = _ticks(min(xs), max(xs))
     y_ticks = _ticks(min(ys), max(ys))
     x_lo, x_hi = min(x_ticks[0], min(xs)), max(x_ticks[-1], max(xs))

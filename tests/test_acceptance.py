@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import model_draw_slices
 from uwbrelay.cli import _channel_tables
 from uwbrelay.experiments import (
     ExperimentConfig,
@@ -26,6 +27,7 @@ from uwbrelay.experiments import (
 )
 from uwbrelay.optimizer import (
     OptimizerSettings,
+    brute_force_oracle,
     optimize_cutset,
     optimize_degraded,
     optimize_pdf,
@@ -268,6 +270,25 @@ def test_criterion_4_oracle_equivalence():
              f"{len(rows)} comparisons, worst |optimizer - oracle| "
              f"{worst.deviation:.2e} bits ({worst.objective}, "
              f"{worst.block_size} tones), tol 2e-3, {elapsed:.1f} s < 600 s")
+
+
+def test_criterion_4_on_model_draw_slices():
+    # the sweeps' regime, sr/sd up to 10^6 near the source: one-tone slices
+    # of block-128 draws at every default relay position, rho = 0.6
+    optimizers = {"pdf": optimize_pdf, "cutset": optimize_cutset}
+    deviations = {objective: [] for objective in optimizers}
+    for instance, powers in model_draw_slices(rho=0.6):
+        for objective, optimize in optimizers.items():
+            deviations[objective].append(
+                optimize(instance, powers).rate
+                - brute_force_oracle(instance, powers, objective, 1e-3))
+    worst = max(abs(d) for values in deviations.values() for d in values)
+    _verdict("criterion 4 on model-draw slices", worst <= 2e-3,
+             f"{len(model_draw_slices(rho=0.6))} one-tone slices, optimizer - "
+             f"oracle in [{min(deviations['pdf']):.1e}, "
+             f"{max(deviations['pdf']):.1e}] bits (pdf) and "
+             f"[{min(deviations['cutset']):.1e}, "
+             f"{max(deviations['cutset']):.1e}] bits (cutset), tol 2e-3")
 
 
 def test_criterion_5_bound_ordering_every_trial(rho_sweep):

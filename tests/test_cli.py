@@ -317,6 +317,25 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         assert "oracle.resolution" in err
 
 
+@pytest.mark.parametrize("command", ["bounds", "sweep-distance"])
+@pytest.mark.parametrize("key", ["pathloss.shadowing_sigma_db", "pathloss.exponent"])
+def test_pathloss_overflow_is_one_error_line(key, command, tmp_path, capsys):
+    # a loss of about -1e300 dB has no float tap amplitude: one error line
+    # and exit 1, not an OverflowError traceback
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("experiment.block_size = 16\nexperiment.trials = 2\n"
+                   f"experiment.d2_grid = 0.5, 2.0\n{key} = 1e300\n")
+    assert _run([command, "--config", str(cfg),
+                 "--output-dir", str(tmp_path / "out")]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert re.fullmatch(r"uwbrelay: error: pathloss of -\S+e\+(299|300) dB at "
+                        r"\S+ m overflows the tap amplitude", last), last
+    if key == "pathloss.exponent":
+        assert last == ("uwbrelay: error: pathloss of -3.010299956639812e+300 "
+                        "dB at 0.5 m overflows the tap amplitude")
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_override_exits_2(cfg_path, tmp_path, capsys):
     assert _run(["bounds", "--config", cfg_path, "--output-dir", str(tmp_path),
                  "--seed", "-1"]) == 2

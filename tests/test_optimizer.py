@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_instance
+from conftest import make_instance, model_draw_slices
 from uwbrelay import optimizer, rates
 from uwbrelay.experiments import (ExperimentConfig, Geometry, build_instance,
                                   powers_from_config, run_trial)
@@ -229,13 +229,88 @@ def _degenerate_two_tone_instances():
             for g in DEGENERATE_TONES for h in DEGENERATE_TONES]
 
 
+def _scaled_gain_tones(count=30):
+    """Random one-tone instances with each gain scaled by 10^-3 to 10^7,
+    so sr, sd and the cross gain C range over about 20 decades."""
+    rng = np.random.default_rng(48)
+    cases = []
+    for _ in range(count):
+        instance, powers = random_instance(1, rng)
+        scale = 10.0 ** rng.uniform(-3.0, 7.0, size=3)
+        cases.append((replace(instance, g_sd=instance.g_sd * scale[0],
+                              g_sr=instance.g_sr * scale[1],
+                              g_rd=instance.g_rd * scale[2]), powers))
+    return cases
+
+
 @pytest.mark.parametrize("resolution", [1e-3, 1e-2, 0.05, 0.5])
 def test_one_tone_oracle_equals_the_dense_grid(resolution):
     rng = np.random.default_rng(43)
     cases = [random_instance(1, rng) for _ in range(50)]
-    for instance, powers in cases + _degenerate_one_tone_instances():
+    cases += _degenerate_one_tone_instances()
+    if resolution >= 1e-2:  # where the dense reference is cheap
+        cases += _scaled_gain_tones() + list(model_draw_slices())
+    for instance, powers in cases:
         assert (brute_force_oracle(instance, powers, "pdf", resolution)
                 == _dense_oracle(instance, powers, resolution))
+
+
+def _oracle_column_search(instance, powers, resolution, monkeypatch):
+    """(terms, rows, cols, guess) that the one-tone pdf oracle hands to
+    _column_crossings, and the value it returns."""
+    calls = []
+    search = optimizer._column_crossings
+
+    def recording(terms, rows, cols, guess=None):
+        calls.append((terms, rows, cols, guess))
+        return search(terms, rows, cols, guess)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_column_crossings", recording)
+        value = brute_force_oracle(instance, powers, "pdf", resolution)
+    (call,) = calls
+    return call, value
+
+
+def test_a_wrong_crossing_guess_still_gives_the_exact_value(monkeypatch):
+    # the guess only orders the probes: all zeros, all past the last row,
+    # random and out-of-range guesses, and none, give the same value
+    rng = np.random.default_rng(49)
+    cases = ([random_instance(1, rng) for _ in range(10)]
+             + _degenerate_one_tone_instances() + _scaled_gain_tones(10))
+    for resolution in (1e-3, 1e-2, 0.5):
+        for instance, powers in cases:
+            (terms, rows, cols, guess), value = _oracle_column_search(
+                instance, powers, resolution, monkeypatch)
+            assert guess is not None and guess.shape == (cols,)
+            wrong = [np.zeros(cols, dtype=np.intp), np.full(cols, rows),
+                     rng.integers(0, rows + 1, size=cols),
+                     rng.integers(-5 * rows, 5 * rows, size=cols), None]
+            for bad in wrong:
+                assert optimizer._column_crossings(terms, rows, cols, bad) == value
+            if resolution >= 1e-2:
+                assert value == _dense_oracle(instance, powers, resolution)
+
+
+def test_the_crossing_guess_certifies_the_columns(monkeypatch):
+    # a guess that holds costs one terms call, the two certifying rows of
+    # every column; each bisection round would add one more
+    rng = np.random.default_rng(43)
+    calls = []
+    search = optimizer._column_crossings
+
+    def counting(terms, rows, cols, guess=None):
+        def counted(*args):
+            calls[-1] += 1
+            return terms(*args)
+        calls.append(0)
+        return search(counted, rows, cols, guess)
+
+    monkeypatch.setattr(optimizer, "_column_crossings", counting)
+    for _ in range(50):
+        brute_force_oracle(*random_instance(1, rng), "pdf", 1e-3)
+    assert len(calls) == 50
+    assert sum(count == 1 for count in calls) >= 48, calls
 
 
 def test_two_tone_oracle_equals_the_dense_grid():

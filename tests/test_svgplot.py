@@ -57,6 +57,18 @@ def test_line_chart_rejects_infinite_values(x, y):
         line_chart([Series("s", x, y)], "x", "y")
 
 
+@pytest.mark.parametrize("x, y, errs", [
+    ([0.0, 1.0, 2.0], [1.0, math.nan, 2.0], None),
+    ([0.0, math.nan, 2.0], [1.0, 3.0, 2.0], None),
+    ([0.0, 1.0, 2.0], [1.0, 3.0, 2.0], [0.1, math.nan, 0.1])])
+def test_line_chart_rejects_a_nan_anywhere(x, y, errs):
+    # min and max skip a nan that does not come first, so it used to reach
+    # the polyline as "nan"
+    with pytest.raises(ValueError, match="non-finite axis range"):
+        line_chart([Series("s", x, y)], "x", "y",
+                   error_bars=None if errs is None else [errs])
+
+
 def test_series_validation():
     with pytest.raises(ValueError):
         Series("s", [1.0], [1.0, 2.0])
