@@ -266,10 +266,10 @@ def _solve_trial(config: ExperimentConfig, geometry: Geometry,
     instances are the validated one with only noise_corr swapped.
 
     The optimizers' per-tone scalars do not read the noise correlation,
-    so they are computed once and shared by every solve.  Where the relay
-    hears the source at least as well as the destination on every tone
-    (sr >= sd), the df problem is the pdf one, and df_res is the pdf solve
-    relabelled rather than a second solve of it.
+    so they are computed once, checked finite (ValueError) and shared by
+    every solve.  Where the relay hears the source at least as well as
+    the destination on every tone (sr >= sd), the df problem is the pdf
+    one, and df_res is the pdf solve relabelled.
 
     Returns (instance, powers, pdf_res, df_res, cuts, direct_rate); the
     instance carries rho_values[0] and cuts holds one optimize_cutset
@@ -277,7 +277,11 @@ def _solve_trial(config: ExperimentConfig, geometry: Geometry,
     instance = build_instance(config, geometry, rho_values[0], trial_index,
                               fading=fading)
     powers, n_dest, _ = powers_from_config(config)
-    tones = optimizer._tones(instance, powers)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tones = optimizer._tones(instance, powers)
+    if not all(np.isfinite(x).all() for x in tones):
+        raise ValueError(f"trial {trial_index} with the relay at {geometry.d2:g} m: "
+                         "a per-tone SNR overflows")
     pdf_res = optimize_pdf(instance, powers, tones=tones)
     if np.all(tones.sr >= tones.sd):
         df_res = optimizer._degraded_from_pdf(pdf_res)

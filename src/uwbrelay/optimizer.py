@@ -27,12 +27,11 @@ optimizer as tones=, every correlation value's cut-set included.
 
 Both terms are concave in s.  For a weight lam the weighted sum
 lam*F1 + (1 - lam)*F2 separates across tones, and its per-tone maximizer
-is the nonnegative root of a quadratic, clipped to [0, 1].  A root
-search on lam (_bracket_root: safeguarded inverse-quadratic and secant
-steps) brackets the weight where the terms cross; a second one
-equalizes the terms on the segment between the two bracketing
-solutions, and the best point evaluated wins.  Both stop at a bracket
-width of 1e-9 or after 60 probes, a fixed rule that no setting changes.
+is the nonnegative root of a quadratic, clipped to [0, 1]: s = 0 at
+lam = 0, s = (C > 0) at lam = 1.  One root search (_bracket_root:
+safeguarded inverse-quadratic and secant steps) on z = -ln(1 - lam),
+which keeps 1 - lam exact near 1, finds the weight where the terms cross;
+it stops at float resolution, and the best point evaluated wins.
 Concavity closes the duality gap (minimax theorem), so every weighted
 value is an upper bound on the optimum and OptimizationResult.dual_gap
 certifies the answer.
@@ -68,7 +67,7 @@ from .rates import PowerBudget, RelayChannelInstance, SplitParams, LN2
 class OptimizerSettings:
     """The optimizer section of a configuration.  No solve reads either
     field: the solve is exact, searches no grid, and its stopping rule is
-    fixed (_BRACKET_TOLERANCE, _MAX_PROBES).  Both stay, validated, only
+    fixed (float resolution, _MAX_PROBES).  Both stay, validated, only
     because the benchmark still names them: its workload configs set
     tone_grid_points and its tracer imports this class."""
 
@@ -173,19 +172,19 @@ def _broadcast_gain(instance: RelayChannelInstance, powers: PowerBudget):
         instance.n_relay, 0.0, instance.noise_corr)
 
 
-# spacing of float64 numbers just above 1, the coarsest rounding of an s
-_ULP_OF_ONE = float(np.finfo(float).eps)
-# the stopping rule of both root searches of _max_min
-_BRACKET_TOLERANCE = 1e-9
-_MAX_PROBES = 60
+_MAX_PROBES = 100  # of _max_min's root search
+# the largest z whose 1 - lam = exp(-z) is a normal float
+_Z_CEILING = -math.log(float(np.finfo(float).tiny))
 
 
-def _bracket_root(gap, lo, hi, gap_lo, gap_hi, tolerance, max_probes):
+def _bracket_root(gap, lo, hi, gap_lo, gap_hi, tolerance, max_probes,
+                  key=None):
     """Shrink [lo, hi] toward the sign change of gap, which is
     nondecreasing with the known end values gap_lo <= 0 < gap_hi, until
-    the bracket is at most tolerance wide, a probe hits an exact zero, or
-    max_probes probes were made.  A probe with gap <= 0 replaces lo and
-    any other replaces hi, so (lo, hi) always keeps gap(lo) <= 0 < gap(hi).
+    the bracket is at most tolerance wide, a probe hits an exact zero, no
+    float lies between key(lo) and key(hi), or max_probes probes were made.
+    A probe with gap <= 0 replaces lo and any other replaces hi, so
+    (lo, hi) always keeps gap(lo) <= 0 < gap(hi).
 
     Each probe is an inverse-quadratic step through both ends and the end
     the last probe dropped, where Chandrupatla's test (1997) trusts it;
@@ -205,10 +204,15 @@ def _bracket_root(gap, lo, hi, gap_lo, gap_hi, tolerance, max_probes):
     c = fc = None
     scale = 1.0
     widths = [hi - lo]
+
+    def done():
+        return (abs(b - a) <= tolerance or fa == 0.0 or key is not None
+                and math.nextafter(key(a), key(b)) == key(b))
+
     for _ in range(max_probes):
-        width = abs(b - a)
-        if width <= tolerance or fa == 0.0:
+        if done():
             break
+        width = abs(b - a)
         t = 0.5
         if len(widths) < 3 or width <= 0.5 * widths[-3]:
             if c is None:
@@ -237,19 +241,19 @@ def _bracket_root(gap, lo, hi, gap_lo, gap_hi, tolerance, max_probes):
             c, fc, b, fb = b, fb, a, fa
         a, fa = x, fx
         widths.append(abs(b - a))
-    converged = abs(b - a) <= tolerance or fa == 0.0
+    converged = done()
     return (a, b, converged) if fa <= 0.0 else (b, a, converged)
 
 
-def _weighted_maximizer(lam, base_1, cross, gain, gain_1):
-    """Per-tone maximizer over [0, 1] of lam*F1 + (1 - lam)*F2, given
-    base_1 = 1 + B and gain_1 = 1 + M.  Both terms are concave in s, so it
-    is the nonnegative root of the stationarity quadratic
-    (2 - lam)*C*M*s^2 + 2*(1 - lam)*M*(1 + B)*s = lam*C*(1 + M), in
+def _weighted_maximizer(lam, rest, base_1, cross, gain, gain_1):
+    """Per-tone maximizer over [0, 1] of lam*F1 + rest*F2, given
+    rest = 1 - lam exactly, base_1 = 1 + B and gain_1 = 1 + M.  Both terms
+    are concave in s, so it is the nonnegative root of the stationarity
+    quadratic (1 + rest)*C*M*s^2 + 2*rest*M*(1 + B)*s = lam*C*(1 + M), in
     cancellation-free form, clipped to 1.  A zero denominator leaves only
     the linear pull of F1: s = 1 where it is positive, else 0."""
-    lin = 2.0 * (1.0 - lam) * gain * base_1
-    quad = (2.0 - lam) * cross * gain
+    lin = 2.0 * rest * gain * base_1
+    quad = (1.0 + rest) * cross * gain
     const = lam * cross * gain_1
     den = lin + np.sqrt(lin * lin + 4.0 * quad * const)
     s = np.divide(2.0 * const, den, out=(const > 0.0).astype(float),
@@ -260,17 +264,17 @@ def _weighted_maximizer(lam, base_1, cross, gain, gain_1):
 def _max_min(tones: _Tones, gain: np.ndarray):
     """Exact max over s in [0, 1]^K of min(F1, F2) (see module docstring)
     for the multiple-access scalars of `tones` and the per-tone gain M.
-    Both root searches stop at a bracket width of _BRACKET_TOLERANCE or
-    after _MAX_PROBES probes.  Returns (s, (F1, F2), lambda_trace,
-    converged) for the best point evaluated; converged is False when the
-    weight search hit its probe cap."""
+    The root search runs on z up to ln(1 + max 2*M*(1 + B + C)/C), where
+    every tone with C > 0 is clipped at s = 1, until no float lies between
+    its ends' weights or they are 8 ulps of z apart.  Returns (s, (F1, F2),
+    lambda_trace, converged) for the best point evaluated; converged is
+    False when the search hit its probe cap."""
     base, cross = tones.base, tones.cross
     base_1, gain_1 = 1.0 + base, 1.0 + gain  # shared by every weighted solve
     trace = []
     best = []
-    ends = {}  # (s, F1 - F2) of the last weighted solve on each side of 0
 
-    def evaluate(s):
+    def evaluate(lam, s):
         # np.add.reduce(x) / x.size is what np.mean computes, minus its
         # per-call overhead; the sum divides as a Python float, the same
         # IEEE operation without numpy scalar arithmetic
@@ -278,39 +282,30 @@ def _max_min(tones: _Tones, gain: np.ndarray):
         second = np.log1p(gain * (1.0 - s * s))
         value = (float(np.add.reduce(first)) / first.size / LN2,
                  float(np.add.reduce(second)) / second.size / LN2)
+        trace.append((lam, *value))
         if not best or min(value) > min(best[1]):  # earliest point takes ties
             best[:] = s, value
-        return value
+        return value[0] - value[1]
 
-    def weighted(lam):
-        s = _weighted_maximizer(lam, base_1, cross, gain, gain_1)
-        first, second = evaluate(s)
-        trace.append((lam, first, second))
-        ends[first - second > 0.0] = s, first - second
-        return first - second
+    def weighted(z):
+        lam, rest = -math.expm1(-z), math.exp(-z)
+        return evaluate(lam, _weighted_maximizer(lam, rest, base_1, cross,
+                                                 gain, gain_1))
 
-    low_gap, high_gap = weighted(0.0), weighted(1.0)
+    low_gap = evaluate(0.0, np.zeros(cross.size))
+    high_gap = evaluate(1.0, (cross > 0.0).astype(float))
     converged = True
     # otherwise the pure F2 maximizer leaves F1 slack, or the pure F1
     # maximizer leaves F2 slack, and is optimal on its own
     if low_gap < 0.0 < high_gap:
-        _, _, converged = _bracket_root(weighted, 0.0, 1.0, low_gap, high_gap,
-                                        _BRACKET_TOLERANCE, _MAX_PROBES)
-        # the weighted search leaves its bracket's solutions in ends; s rises
-        # with lam on every tone, so F1 - F2 rises along the segment between
-        # them: equalize the terms on it, down to the width where a step in
-        # theta no longer moves any s by a float64 ulp of 1
-        (low, low_gap), (high, high_gap) = ends[False], ends[True]
-        step = high - low
-        largest = float(np.max(step))
-        if largest > 0.0:
-            def along(theta):
-                first, second = evaluate(low + theta * step)
-                return first - second
-
-            _bracket_root(along, 0.0, 1.0, low_gap, high_gap,
-                          max(_BRACKET_TOLERANCE, _ULP_OF_ONE / largest),
-                          _MAX_PROBES)
+        # a tone with C = 0 keeps s = 0 at every weight
+        with np.errstate(over="ignore"):
+            ratio = np.divide(2.0 * gain * (base_1 + cross), cross,
+                              out=np.zeros_like(cross), where=cross > 0.0)
+        z_max = min(math.log1p(float(np.max(ratio))), _Z_CEILING)
+        _, _, converged = _bracket_root(weighted, 0.0, z_max, low_gap, high_gap,
+                                        8.0 * math.ulp(z_max), _MAX_PROBES,
+                                        key=lambda z: -math.expm1(-z))
     return best[0], best[1], trace, converged
 
 

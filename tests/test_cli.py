@@ -336,6 +336,25 @@ def test_pathloss_overflow_is_one_error_line(key, command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["bounds", "sweep-distance"])
+@pytest.mark.parametrize("line", ["pathloss.ref_loss_db = -6000",
+                                  "experiment.psd_tx_dbm_per_mhz = 3000"])
+def test_overflowing_tone_power_is_one_error_line(line, command, tmp_path, capsys):
+    # the tap amplitudes are finite, but a per-tone SNR overflows: one error line
+    # naming the trial and the relay position, exit 1, and no numpy
+    # RuntimeWarning (an error under the test configuration)
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("experiment.block_size = 16\nexperiment.trials = 2\n"
+                   f"experiment.d2_grid = 0.5, 2.0\n{line}\n")
+    assert _run([command, "--config", str(cfg),
+                 "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    assert err.splitlines()[-1] == ("uwbrelay: error: trial 0 with the relay at "
+                                    "0.5 m: a per-tone SNR overflows")
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_override_exits_2(cfg_path, tmp_path, capsys):
     assert _run(["bounds", "--config", cfg_path, "--output-dir", str(tmp_path),
                  "--seed", "-1"]) == 2
@@ -442,11 +461,11 @@ optimizer.tone_grid_points = 41
 PINNED_SHA256 = {
     "channel_taps.csv": "78a8f22f15e05fd881a61cfb643f0a20b48103898b6a7703c2d7f58dae73f7d0",
     "channel_response.csv": "840c58583e58debc1d3890969b703a9861b5ad5a8dc404c55643a4196b59b26d",
-    "bounds.csv": "2c1a1c776c35365f03c57755c447f118b38a242fce469a7712c08c008c0ad329",
-    "bounds_per_tone.csv": "b309c339a8e1385334f015e0d57bdc29c5a65dd66dd5ac6c827923265569ad8e",
-    "sweep_distance.csv": "02357b1f5ca27ae6dd42614095b9cea2adafde6a2742aff504127c5606009aac",
+    "bounds.csv": "09c1595dd2ab36c34230fa3106c6c51438eda6554124418c3f66288c318a70ae",
+    "bounds_per_tone.csv": "98f5a282c67534f8403208bddfc3e5eade6b22856f71c86cba1dfcf3a5c5e3c9",
+    "sweep_distance.csv": "484bdcbcd24f6256eef9281fea4f4de2dff9e19de4ca14a73fd83fdafbedd9f9",
     "sweep_distance.svg": "07581cabdafb9ab48375aba664bb45feefd0856fed39ca4c0809ac16823a43b4",
-    "sweep_rho.csv": "969289a9f6a8f70ffb6d0119a9627acfb558c6129e65a6d4fd78e575118276f6",
+    "sweep_rho.csv": "35640c5bcdcf12f14c1164c4c195af609b0f407f85f6e44706e33c5766035bd7",
     "sweep_rho.svg": "dd4869be9988b5d6d5467eadaa78aabd20376570cbd535fa509a13302db38ed0",
 }
 
@@ -468,7 +487,7 @@ def test_artifacts_match_pinned_hashes(tmp_path, capsys):
 # SHA-256 of the default `oracle-check --verbose` stdout, recorded like
 # PINNED_SHA256 with numpy 2.4.6: every optimizer and oracle value and the
 # verdict line, as printed
-ORACLE_CHECK_SHA256 = "615c18f2c4bd9584e9290ae841e6cd4848f7da6b1c798f22d87af63e4d3b4edf"
+ORACLE_CHECK_SHA256 = "8b5848e66991226461266d88c72d7737f539227947cc934eb47a725c17bb2f18"
 
 
 def test_default_oracle_check_stdout_is_pinned(tmp_path, capsys):

@@ -596,8 +596,8 @@ def test_weighted_root_is_a_stationary_point(objective):
         base, cross, gain = _one_dimensional(objective, instance, powers)
         trace = OPTIMIZERS[objective](instance, powers).lambda_trace
         for lam in [lam for lam, _, _ in trace] + list(np.linspace(0.0, 1.0, 11)):
-            s = optimizer._weighted_maximizer(lam, 1.0 + base, cross, gain,
-                                              1.0 + gain)
+            s = optimizer._weighted_maximizer(lam, 1.0 - lam, 1.0 + base, cross,
+                                              gain, 1.0 + gain)
             # the slope of lam*F1 + (1 - lam)*F2 in s, times the positive
             # (1 + B + C*s)*(1 + M*(1 - s^2)), is const - lin*s - quad*s^2;
             # compared in the scale of its parts, since at high SNR one ulp
@@ -614,12 +614,36 @@ def test_weighted_root_is_a_stationary_point(objective):
             assert np.all((s >= 0.0) & (s <= 1.0))
 
 
+def _search_cases():
+    """CERTIFICATE_CASES and the one-tone sets whose weight roots sit
+    closest to 1: scaled gains, degenerate tones and model-draw slices."""
+    return (CERTIFICATE_CASES + _scaled_gain_tones()
+            + _degenerate_one_tone_instances() + list(model_draw_slices()))
+
+
 @pytest.mark.parametrize("objective", sorted(OPTIMIZERS))
 def test_certified_dual_gap(objective):
-    for instance, powers in CERTIFICATE_CASES:
+    for instance, powers in _search_cases():
         result = OPTIMIZERS[objective](instance, powers)
-        assert 0.0 <= result.dual_gap <= 1e-9
+        assert 0.0 <= result.dual_gap <= 1e-14
         assert result.converged
+
+
+@pytest.mark.parametrize("objective", sorted(OPTIMIZERS))
+def test_closed_form_weight_ends_are_the_weighted_solves(objective):
+    # the solve takes s = 0 at lam = 0 and s = (C > 0) at lam = 1 from closed
+    # forms; the weighted maximizer gives the same bits at those weights,
+    # and the solve's first two trace entries are the terms of those points
+    for instance, powers in _search_cases():
+        base, cross, gain = _one_dimensional(objective, instance, powers)
+        ends = []
+        for lam, s in ((0.0, np.zeros(cross.size)), (1.0, (cross > 0.0) * 1.0)):
+            solved = optimizer._weighted_maximizer(lam, 1.0 - lam, 1.0 + base,
+                                                   cross, gain, 1.0 + gain)
+            assert solved.tobytes() == s.tobytes()
+            ends.append((lam, float(np.mean(np.log1p(base + cross * s))) / rates.LN2,
+                         float(np.mean(np.log1p(gain * (1.0 - s * s)))) / rates.LN2))
+        assert OPTIMIZERS[objective](instance, powers).lambda_trace[:2] == ends
 
 
 @pytest.mark.parametrize("objective", sorted(OPTIMIZERS))
@@ -641,9 +665,9 @@ def test_shared_tones_give_the_same_result(objective):
 
 
 def test_weighted_solve_count_on_the_block128_draws():
-    # the root searches' cost, pinned: halving the weight bracket 30 times
+    # the root search's cost, pinned: halving the weight bracket 30 times
     # took 216 weighted solves here (72 per objective), the safeguarded
-    # search takes 98
+    # search on the weight takes 110, the two closed-form ends included
     total = sum(len(OPTIMIZERS[objective](instance, powers).lambda_trace)
                 for instance, powers in CERTIFICATE_CASES
                 if instance.block_size == 128 for objective in OPTIMIZERS)
